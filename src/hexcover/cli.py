@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .circuits import CircuitSupport, circuit_number, cover_theta_sum, optimize_scalar_weight
 from .covers import all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers, fixture_keys
@@ -25,7 +23,6 @@ from .model import (
     Case,
     EtaPoint,
     KappaVector,
-    ab_values,
     classify,
     closed_form_bound,
     hex_coefficients,
@@ -34,7 +31,6 @@ from .model import (
 )
 from .experiment import (
     SamplePlan,
-    binomial_sigma,
     case4_eta_points,
     compare_vs_baseline,
     containment_analysis,
@@ -84,7 +80,6 @@ def _plan_from_args(args) -> SamplePlan:
         box_size=pick("box", float, 1.0),
         target_case4_samples=pick("n", int, 1_000_000),
         seed=pick("seed", int, _default_seed()),
-        chunk_size=pick("chunk_size", int, 8),
         threads=pick("threads", int, 1),
     )
 
@@ -226,7 +221,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    plan = _plan_from_args(args)
+    plan = args.plan
     m = evaluate_covers(plan)
     lines = _csv_header(plan, {"columns": "cover,hits,ratio"})
     lines.append(f"sum,{m.union_count},{m.union_ratio:.5f}")
@@ -253,7 +248,7 @@ def cmd_table2(args) -> int:
     of cover 1 equals its full hit-ratio deficit), so that is the scale used
     here, printed with 2 decimals.
     """
-    plan = _plan_from_args(args)
+    plan = args.plan
     m = evaluate_covers(plan)
     records = compare_vs_baseline(m, args.baseline)
     lines = _csv_header(plan, {
@@ -283,7 +278,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_containment(args) -> int:
-    plan = _plan_from_args(args)
+    plan = args.plan
     m = evaluate_covers(plan)
     rep = containment_analysis(m, threshold=args.threshold)
     lines = _csv_header(plan, {"columns": "A,B,kind", "threshold": rep.threshold,
@@ -314,7 +309,7 @@ def cmd_homotopy(args) -> int:
     except ValueError as exc:
         print(f"homotopy: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    plan = _plan_from_args(args)
+    plan = args.plan
     delta = args.delta if args.delta is not None else (0.05 if len(cover_ids) == 2 else 1 / 16)
     m = evaluate_covers(plan, keep_theta=tuple(cover_ids))
     if len(cover_ids) == 2:
@@ -408,7 +403,6 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: SONC_MONO_SEED or 42)")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--chunk-size", dest="chunk_size", type=int, default=None)
     p.add_argument("--config", default=None, help="key=value config file; flags win")
     p.add_argument("--out", default=None, help="output path prefix for CSV/JSON")
 
@@ -459,6 +453,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if hasattr(args, "seed"):  # experiment commands
+        try:
+            args.plan = _plan_from_args(args)
+        except (ValueError, OSError) as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return args.func(args)
 
 

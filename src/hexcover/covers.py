@@ -8,6 +8,7 @@ the published enumeration and are stored as a reviewed fixture file.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from importlib import resources
 
@@ -106,8 +107,9 @@ def parse_cover(key: str, id: int = 0) -> PureCover:
     return PureCover(id, tuple(simplices))
 
 
-def fixture_keys() -> dict[int, str]:
-    """id -> canonical key mapping read from the reviewed fixture file."""
+@functools.cache
+def _parsed_fixture() -> dict[int, str]:
+    """The fixture file parsed once per process; callers must not mutate it."""
     text = resources.files("hexcover.data").joinpath(FIXTURE_RESOURCE).read_text()
     mapping: dict[int, str] = {}
     for line in text.splitlines():
@@ -119,9 +121,14 @@ def fixture_keys() -> dict[int, str]:
     return mapping
 
 
+def fixture_keys() -> dict[int, str]:
+    """id -> canonical key mapping read from the reviewed fixture file."""
+    return dict(_parsed_fixture())
+
+
 def cover_fixture(id: int) -> PureCover:
     """The labeled pure cover CC(id), id in 1..16."""
-    keys = fixture_keys()
+    keys = _parsed_fixture()
     if id not in keys:
         raise ValueError(f"cover id must be in 1..16, got {id}")
     return parse_cover(keys[id], id)

@@ -2,20 +2,24 @@
 
 Rate constants are drawn uniformly from (0, N]^12, reduced to eta, and kept
 when they land in case 4 (a > 0, b < 0).  Each accepted sample is tested
-against every cover's certificate Theta-sum >= -c_m; per-sample hit bitmasks
-are retained so that containment, uniqueness, and homotopy statistics can be
-derived from the joint distribution.
+against every cover's certificate Theta-sum >= -c_m and stored as a 16-bit
+hit mask.  Ratios, the baseline comparison and the containment poset depend
+only on how often each mask occurs, so they are computed from the histogram
+of the masks; homotopies reuse retained per-sample Theta sums.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block
-index) over fixed-size raw blocks, so parallel and serial runs emit the same
-sample sequence bit for bit.
+index) over fixed-size raw blocks.  One generator yields the accepted blocks
+in counter order and truncates only the last one, so parallel and serial
+runs emit the same sample sequence bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -23,31 +27,35 @@ from numpy.random import Generator, Philox
 
 from .covers import all_covers
 from .geometry import HEXAGON_POSITIVE, M, POINT_INDEX
-from .model import _raw_hex_coefficients
+from .model import _raw_hex_coefficients, _reduced, ab_values
 from .circuits import PureCover
 from . import geometry
 
-RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of chunking
+RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
+LOOKAHEAD_PER_THREAD = 8  # blocks queued ahead per worker thread
 DEFAULT_KEEP_THETA = (4, 9, 10, 12, 15)
 
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Sampling configuration for one experiment run."""
+    """Sampling configuration for one experiment run.
+
+    ``threads`` sets how many worker threads draw blocks; it never changes the
+    sample stream, which depends only on the seed and the box size.
+    """
 
     box_size: float = 1.0
     target_case4_samples: int = 1_000_000
     seed: int = 42
-    chunk_size: int = 8  # blocks per worker task; never affects the sample stream
     threads: int = 1
 
     def __post_init__(self):
         if self.target_case4_samples < 1:
             raise ValueError("target_case4_samples must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.box_size <= 0:
-            raise ValueError("box_size must be positive")
+        if not (math.isfinite(self.box_size) and self.box_size > 0):
+            raise ValueError(f"box_size must be positive and finite, got {self.box_size}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 class CoverEvaluator:
@@ -82,112 +90,112 @@ class CoverEvaluator:
         return out
 
 
-_COEFF_ORDER = HEXAGON_POSITIVE
+def classified_block(seed: int, block: int, box_size: float, case: str):
+    """Accepted samples of one raw block as (eta, a, b), eta of shape (8, k).
 
-
-def case4_block(seed: int, block: int, box_size: float):
-    """Accepted case-4 samples of one raw block.
-
-    Returns (eta, a, b) with eta of shape (8, k).  Draws use kappa = N*(1-U)
-    so every component is strictly positive; acceptance keeps a > 0, b < 0.
+    Draws use kappa = N*(1-U) so every component is strictly positive.
+    ``case`` "case4" keeps a > 0, b < 0; "case2" keeps a < 0.
     """
     rng = Generator(Philox(key=[np.uint64(seed), np.uint64(block)]))
     kappa = box_size * (1.0 - rng.random((12, RAW_BLOCK)))
-    return _accept_case(kappa, "case4")
-
-
-def classified_block(seed: int, block: int, box_size: float, case: str):
-    rng = Generator(Philox(key=[np.uint64(seed), np.uint64(block)]))
-    kappa = box_size * (1.0 - rng.random((12, RAW_BLOCK)))
-    return _accept_case(kappa, case)
-
-
-def _accept_case(kappa: np.ndarray, case: str):
-    K1 = (kappa[1] + kappa[2]) / kappa[0]
-    K2 = (kappa[4] + kappa[5]) / kappa[3]
-    K3 = (kappa[7] + kappa[8]) / kappa[6]
-    K4 = (kappa[10] + kappa[11]) / kappa[9]
-    k3, k6, k9, k12 = kappa[2], kappa[5], kappa[8], kappa[11]
-    a = k3 * k12 - k6 * k9
-    b = (K2 + K3) * k3 * k12 - (K1 + K4) * k6 * k9
+    eta = np.stack(_reduced(kappa))
+    a, b = ab_values(eta)
     if case == "case4":
         mask = (a > 0) & (b < 0)
     elif case == "case2":
         mask = a < 0
     else:
         raise ValueError(f"unknown case filter {case!r}")
-    eta = np.stack([K1, K2, K3, K4, k3, k6, k9, k12])[:, mask]
-    return eta, a[mask], b[mask]
+    return eta[:, mask], a[mask], b[mask]
 
 
 def hex_coefficient_arrays(eta: np.ndarray, a: np.ndarray, b: np.ndarray):
     """(10, k) coefficient array in canonical point order plus c_m array."""
-    cmap = _raw_hex_coefficients(*eta, a, b)
-    coeffs = np.stack([cmap[p] for p in _COEFF_ORDER])
-    c_m = b * eta[0] * eta[1] * eta[2] * eta[4] * eta[5] * eta[7]
-    return coeffs, c_m
+    cmap, c_m = _raw_hex_coefficients(*eta, a, b)
+    return np.stack([cmap[p] for p in HEXAGON_POSITIVE]), c_m
+
+
+def _accepted_blocks(plan: SamplePlan, case: str):
+    """(eta, a, b) of raw blocks 0, 1, 2, ... until the plan's target is reached.
+
+    Yields exactly one item per raw block drawn, so the caller can count raw
+    draws; only the final block is truncated, so exactly
+    ``target_case4_samples`` samples come out.  With several threads, up to
+    ``LOOKAHEAD_PER_THREAD`` blocks per thread are drawn ahead; blocks not yet
+    started when the stream closes are cancelled.
+    """
+    pool = ThreadPoolExecutor(max_workers=plan.threads) if plan.threads > 1 else None
+    ahead = deque()
+    remaining = plan.target_case4_samples
+    try:
+        for block in count():
+            if pool is None:
+                eta, a, b = classified_block(plan.seed, block, plan.box_size, case)
+            else:
+                while len(ahead) < LOOKAHEAD_PER_THREAD * plan.threads:
+                    ahead.append(pool.submit(classified_block, plan.seed, block + len(ahead),
+                                             plan.box_size, case))
+                eta, a, b = ahead.popleft().result()
+            if eta.shape[1] >= remaining:
+                yield eta[:, :remaining], a[:remaining], b[:remaining]
+                return
+            remaining -= eta.shape[1]
+            yield eta, a, b
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def sample_case4(plan: SamplePlan, case: str = "case4") -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Stream accepted samples as (eta, coeffs, c_m) blocks until the target.
+    """Stream accepted samples as (eta, coeffs, c_m), one item per raw block.
 
-    Fully deterministic in ``plan.seed``: blocks are processed in counter
-    order and the final block is truncated so that exactly
-    ``target_case4_samples`` samples are emitted in total.
+    Fully deterministic in ``plan.seed``: blocks come in counter order and
+    exactly ``target_case4_samples`` samples are emitted in total.
     """
-    emitted = 0
-    for eta, a, b in _iter_accept_blocks(plan, case):
-        take = min(eta.shape[1], plan.target_case4_samples - emitted)
-        if take < eta.shape[1]:
-            eta, a, b = eta[:, :take], a[:take], b[:take]
-        coeffs, c_m = hex_coefficient_arrays(eta, a, b)
-        yield eta, coeffs, c_m
-        emitted += take
-        if emitted >= plan.target_case4_samples:
-            return
-
-
-def _iter_accept_blocks(plan: SamplePlan, case: str):
-    """Accepted blocks in counter order, optionally produced by worker threads."""
-    if plan.threads <= 1:
-        block = 0
-        while True:
-            yield classified_block(plan.seed, block, plan.box_size, case)
-            block += 1
-    else:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            window = plan.threads * plan.chunk_size
-            pending = {}
-            next_submit = 0
-            next_yield = 0
-            while True:
-                while next_submit < next_yield + window:
-                    pending[next_submit] = pool.submit(
-                        classified_block, plan.seed, next_submit, plan.box_size, case
-                    )
-                    next_submit += 1
-                yield pending.pop(next_yield).result()
-                next_yield += 1
+    for eta, a, b in _accepted_blocks(plan, case):
+        yield (eta, *hex_coefficient_arrays(eta, a, b))
 
 
 @dataclass
 class CoverHitMatrix:
-    """Per-sample certificate hits for all 16 covers, plus aggregates.
+    """Per-sample certificate hits for all 16 covers and their histogram.
 
     ``hits`` holds one uint16 bitmask per sample (bit i-1 set iff cover i
-    certified the sample).  ``theta`` retains per-sample Theta sums for the
+    certified the sample).  ``masks`` lists the distinct masks in ascending
+    order and ``mask_counts`` how often each occurs; every joint count is
+    computed from these two.  ``theta`` retains per-sample Theta sums for the
     covers in ``keep_theta`` so homotopies can reuse the same stream.
     """
 
     hits: np.ndarray
-    counts: np.ndarray
-    union_count: int
-    n: int
     raw_draws: int
     plan: SamplePlan
     theta: dict[int, np.ndarray] = field(default_factory=dict)
     c_m: np.ndarray | None = None
     eta: np.ndarray | None = None
+    masks: np.ndarray = field(init=False)
+    mask_counts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.masks, self.mask_counts = np.unique(self.hits, return_counts=True)
+
+    @property
+    def n(self) -> int:
+        return len(self.hits)
+
+    @property
+    def mask_bits(self) -> np.ndarray:
+        """(distinct masks, 16) 0/1 matrix; column i-1 is cover i's hit bit."""
+        return (self.masks[:, None] >> np.arange(16)) & 1
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Samples certified by each cover, in cover-id order."""
+        return self.mask_counts @ self.mask_bits
+
+    @property
+    def union_count(self) -> int:
+        return int(self.mask_counts[self.masks != 0].sum())
 
     @property
     def ratios(self) -> np.ndarray:
@@ -197,9 +205,6 @@ class CoverHitMatrix:
     def union_ratio(self) -> float:
         return self.union_count / self.n
 
-    def cover_hit(self, cover_id: int) -> np.ndarray:
-        return (self.hits >> (cover_id - 1)) & 1
-
 
 def evaluate_covers(plan: SamplePlan, keep_theta=DEFAULT_KEEP_THETA,
                     keep_eta: bool = False) -> CoverHitMatrix:
@@ -208,16 +213,10 @@ def evaluate_covers(plan: SamplePlan, keep_theta=DEFAULT_KEEP_THETA,
     keep_theta = tuple(keep_theta)
     hit_chunks, theta_chunks = [], {cid: [] for cid in keep_theta}
     cm_chunks, eta_chunks = [], []
-    emitted, raw = 0, 0
-    for eta, a, b in _iter_accept_blocks(plan, "case4"):
-        raw += RAW_BLOCK
-        take = min(eta.shape[1], plan.target_case4_samples - emitted)
-        if take < eta.shape[1]:
-            eta, a, b = eta[:, :take], a[:take], b[:take]
-        coeffs, c_m = hex_coefficient_arrays(eta, a, b)
+    for eta, coeffs, c_m in sample_case4(plan):
         theta = evaluator.theta_sums(np.log(coeffs))
         hits = (theta >= -c_m).astype(np.uint16)
-        mask = np.zeros(take, dtype=np.uint16)
+        mask = np.zeros(c_m.size, dtype=np.uint16)
         for i in range(16):
             mask |= hits[i] << np.uint16(i)
         hit_chunks.append(mask)
@@ -226,17 +225,9 @@ def evaluate_covers(plan: SamplePlan, keep_theta=DEFAULT_KEEP_THETA,
         cm_chunks.append(c_m)
         if keep_eta:
             eta_chunks.append(eta)
-        emitted += take
-        if emitted >= plan.target_case4_samples:
-            break
-    hits = np.concatenate(hit_chunks)
-    counts = np.array([int(((hits >> i) & 1).sum()) for i in range(16)])
     return CoverHitMatrix(
-        hits=hits,
-        counts=counts,
-        union_count=int((hits != 0).sum()),
-        n=emitted,
-        raw_draws=raw,
+        hits=np.concatenate(hit_chunks),
+        raw_draws=len(hit_chunks) * RAW_BLOCK,
         plan=plan,
         theta={cid: np.concatenate(cs) for cid, cs in theta_chunks.items()},
         c_m=np.concatenate(cm_chunks),
@@ -258,18 +249,14 @@ class ComparisonRecord:
 def compare_vs_baseline(matrix: CoverHitMatrix, baseline: int = 9) -> list[ComparisonRecord]:
     if not 1 <= baseline <= 16:
         raise ValueError(f"baseline cover id out of range: {baseline}")
-    base = matrix.cover_hit(baseline).astype(bool)
-    records = []
-    for cid in range(1, 17):
-        mine = matrix.cover_hit(cid).astype(bool)
-        records.append(ComparisonRecord(
-            cover_id=cid,
-            versus=baseline,
-            plus=int((mine & ~base).sum()),
-            minus=int((base & ~mine).sum()),
-            zero=int((~mine & ~base).sum()),
-        ))
-    return records
+    bits = matrix.mask_bits.astype(bool)
+    base = bits[:, [baseline - 1]]
+    weights = matrix.mask_counts
+    plus, minus, zero = (weights @ (bits & ~base), weights @ (base & ~bits),
+                         weights @ ~(bits | base))
+    return [ComparisonRecord(cover_id=cid, versus=baseline, plus=int(plus[cid - 1]),
+                             minus=int(minus[cid - 1]), zero=int(zero[cid - 1]))
+            for cid in range(1, 17)]
 
 
 @dataclass
@@ -288,41 +275,27 @@ class ContainmentReport:
 
 def containment_analysis(matrix: CoverHitMatrix, threshold: int = 0) -> ContainmentReport:
     """|A\\B| counts, containment edges, uniqueness, and the Hasse reduction."""
-    bits = np.stack([matrix.cover_hit(cid) for cid in range(1, 17)]).astype(np.int64)
-    inter = bits @ bits.T
+    bits, weights = matrix.mask_bits, matrix.mask_counts
+    inter = bits.T @ (weights[:, None] * bits)  # |A & B|
     diff = matrix.counts[:, None] - inter  # |A \ B|
     np.fill_diagonal(diff, 0)
-    per_sample_total = bits.sum(axis=0)
-    unique_mask = per_sample_total == 1
-    unique_counts = bits[:, unique_mask].sum(axis=1)
+    single = bits.sum(axis=1) == 1
+    unique_counts = weights[single] @ bits[single]
     near_band = max(threshold, math.ceil(1e-7 * matrix.n))
-    edges, near_edges = [], []
-    for i in range(16):
-        for j in range(16):
-            if i == j:
-                continue
-            if diff[i, j] <= threshold:
-                edges.append((i + 1, j + 1))
-            elif diff[i, j] <= near_band:
-                near_edges.append((i + 1, j + 1))
+    off_diagonal = ~np.eye(16, dtype=bool)
+    contained = off_diagonal & (diff <= threshold)
+    near = off_diagonal & ~contained & (diff <= near_band)
+    edges = [(i + 1, j + 1) for i, j in np.argwhere(contained).tolist()]
+    near_edges = [(i + 1, j + 1) for i, j in np.argwhere(near).tolist()]
 
-    # Merge equal covers (mutual containment) into one node.
-    parent = list(range(17))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        if (b, a) in set(edges) and find(a) != find(b):
-            parent[find(b)] = find(a)
-    groups: dict[int, list[int]] = {}
-    for cid in range(1, 17):
-        groups.setdefault(find(cid), []).append(cid)
-    equal_groups = sorted(g for g in groups.values())
-    rep = {cid: min(groups[find(cid)]) for cid in range(1, 17)}
+    # Merge equal covers (mutual containment) into one node: the components
+    # of the mutual-containment graph, by transitive closure.
+    same = ~off_diagonal | (contained & contained.T)
+    for k in range(16):
+        same |= same[:, [k]] & same[[k], :]
+    equal_groups = [list(g) for g in sorted({tuple((np.flatnonzero(row) + 1).tolist())
+                                              for row in same})]
+    rep = {cid: int(np.argmax(same[cid - 1])) + 1 for cid in range(1, 17)}
 
     strict = {(rep[a], rep[b]) for a, b in edges if rep[a] != rep[b]}
     hasse = [
@@ -334,8 +307,8 @@ def containment_analysis(matrix: CoverHitMatrix, threshold: int = 0) -> Containm
         unique_counts=unique_counts,
         threshold=threshold,
         near_band=near_band,
-        edges=sorted(edges),
-        near_edges=sorted(near_edges),
+        edges=edges,
+        near_edges=near_edges,
         equal_groups=equal_groups,
         hasse_edges=hasse,
     )

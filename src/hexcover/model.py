@@ -59,27 +59,37 @@ class EtaPoint:
     def as_tuple(self) -> tuple[float, ...]:
         return (self.K1, self.K2, self.K3, self.K4, self.k3, self.k6, self.k9, self.k12)
 
+    def __iter__(self):
+        return iter(self.as_tuple())
+
     def swapped(self) -> "EtaPoint":
         """The (K1 <-> K4, K2 <-> K3) swap relating the two mirror covers."""
         return EtaPoint(self.K4, self.K3, self.K2, self.K1, self.k3, self.k6, self.k9, self.k12)
 
 
+def _reduced(k):
+    """Michaelis-Menten reduction of rate constants k[0..11] to (K1..K4, k3, k6, k9, k12).
+
+    Works with floats or numpy rows alike.
+    """
+    return ((k[1] + k[2]) / k[0], (k[4] + k[5]) / k[3], (k[7] + k[8]) / k[6],
+            (k[10] + k[11]) / k[9], k[2], k[5], k[8], k[11])
+
+
 def reduce(kappa: KappaVector) -> EtaPoint:
     """Michaelis-Menten reduction of the 12 rate constants to eta."""
-    k = kappa
-    return EtaPoint(
-        K1=(k[2] + k[3]) / k[1],
-        K2=(k[5] + k[6]) / k[4],
-        K3=(k[8] + k[9]) / k[7],
-        K4=(k[11] + k[12]) / k[10],
-        k3=k[3], k6=k[6], k9=k[9], k12=k[12],
-    )
+    return EtaPoint(*_reduced(kappa.k))
 
 
-def ab_values(eta: EtaPoint) -> tuple[float, float]:
-    """a = k3*k12 - k6*k9 and b = (K2+K3)*k3*k12 - (K1+K4)*k6*k9."""
-    a = eta.k3 * eta.k12 - eta.k6 * eta.k9
-    b = (eta.K2 + eta.K3) * eta.k3 * eta.k12 - (eta.K1 + eta.K4) * eta.k6 * eta.k9
+def ab_values(eta):
+    """a = k3*k12 - k6*k9 and b = (K2+K3)*k3*k12 - (K1+K4)*k6*k9.
+
+    ``eta`` is an EtaPoint or an (8, k) array of the same components; the
+    result is a pair of floats or of arrays.
+    """
+    K1, K2, K3, K4, k3, k6, k9, k12 = eta
+    a = k3 * k12 - k6 * k9
+    b = (K2 + K3) * k3 * k12 - (K1 + K4) * k6 * k9
     return a, b
 
 
@@ -124,12 +134,13 @@ class HexCoefficients:
 
 
 def _raw_hex_coefficients(K1, K2, K3, K4, k3, k6, k9, k12, a, b):
-    """Shared scalar/array coefficient formulas, keyed by point label.
+    """Shared scalar/array coefficient formulas: the ten positive ones by point, and c_m.
 
-    Works with floats or numpy arrays alike; order matches the canonical
-    hexagon point order.
+    Works with floats or numpy arrays alike; the keys follow the canonical
+    hexagon point order.  c_m is multiplied left to right as
+    b*K1*K2*K3*k3*k6*k12, so a point gets the same bits on both paths.
     """
-    return {
+    coeffs = {
         A1: K1**3 * K3**2 * k6**3 * k12**2,
         A2: K1**2 * K2 * K3 * K4 * k3 * k6**2 * k9 * k12,
         A3: K1 * K2**2 * K4 * k3**2 * k6 * k9**2,
@@ -141,6 +152,7 @@ def _raw_hex_coefficients(K1, K2, K3, K4, k3, k6, k9, k12, a, b):
         I1: 2 * K1**2 * K2 * K3 * k3 * k6**2 * k12**2,
         I2: 2 * K1 * K2 * K3 * K4 * k3**2 * k6 * k9 * k12,
     }
+    return coeffs, b * K1 * K2 * K3 * k3 * k6 * k12
 
 
 def negative_prefactor(eta: EtaPoint) -> float:
@@ -158,8 +170,8 @@ def hex_coefficients(eta: EtaPoint, require_case4: bool = True) -> HexCoefficien
     sc = classify(eta)
     if require_case4 and sc.tag is not Case.CASE4_A_POS_B_NEG:
         raise ValueError(f"hex coefficients require case 4 input, got {sc.tag.name}")
-    coeffs = _raw_hex_coefficients(*eta.as_tuple(), sc.a_value, sc.b_value)
-    return HexCoefficients(coeffs=coeffs, c_m=sc.b_value * negative_prefactor(eta))
+    coeffs, c_m = _raw_hex_coefficients(*eta, sc.a_value, sc.b_value)
+    return HexCoefficients(coeffs=coeffs, c_m=c_m)
 
 
 def eval_p_eta(eta: EtaPoint, x1: float, x2: float, x3: float) -> float:

@@ -34,8 +34,7 @@ SEED = 42
 
 @pytest.fixture(scope="module")
 def full_run():
-    plan = SamplePlan(box_size=1.0, target_case4_samples=N_FULL, seed=SEED,
-                      threads=4, chunk_size=8)
+    plan = SamplePlan(box_size=1.0, target_case4_samples=N_FULL, seed=SEED, threads=4)
     return evaluate_covers(plan, keep_theta=(4, 9, 10, 12, 15))
 
 
@@ -195,9 +194,7 @@ def test_criterion_09_soundness():
     run = evaluate_covers(plan, keep_theta=(), keep_eta=True)
     certified = run.hits != 0
     eta = run.eta[:, certified][:, :n]
-    a = eta[4] * eta[7] - eta[5] * eta[6]
-    b = (eta[1] + eta[2]) * eta[4] * eta[7] - (eta[0] + eta[3]) * eta[5] * eta[6]
-    coeffs, c_m = hex_coefficient_arrays(eta, a, b)
+    coeffs, c_m = hex_coefficient_arrays(eta, *ab_values(eta))
     worst = 1.0
     for lo in range(0, n, 500):
         worst = min(worst, _grid_extrema(coeffs[:, lo:lo + 500], c_m[lo:lo + 500]).min())
@@ -207,9 +204,7 @@ def test_criterion_09_soundness():
     total2 = 0
     plan2 = SamplePlan(target_case4_samples=n, seed=SEED + 3)
     for eta2, _, _ in sample_case4(plan2, case="case2"):
-        a2 = eta2[4] * eta2[7] - eta2[5] * eta2[6]
-        b2 = (eta2[1] + eta2[2]) * eta2[4] * eta2[7] - (eta2[0] + eta2[3]) * eta2[5] * eta2[6]
-        coeffs2, c_m2 = hex_coefficient_arrays(eta2, a2, b2)
+        coeffs2, c_m2 = hex_coefficient_arrays(eta2, *ab_values(eta2))
         for lo in range(0, eta2.shape[1], 500):
             mins = _grid_extrema(coeffs2[:, lo:lo + 500], c_m2[lo:lo + 500])
             neg_found += int((mins < 0).sum())

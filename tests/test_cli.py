@@ -172,6 +172,14 @@ def test_env_seed_fallback(monkeypatch, capsys):
     assert "# seed: 42" in out
 
 
+@pytest.mark.parametrize("flag,value", [("--n", "0"), ("--seed", "-1"), ("--box", "nan"),
+                                        ("--box", "inf")])
+def test_bad_plan_input_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "table1", flag, value)
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["table1", "--bogus"]) == EXIT_USAGE
 

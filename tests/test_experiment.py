@@ -1,16 +1,19 @@
 """Sampling determinism, cover evaluation, and derived statistics."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hexcover import experiment
 from hexcover.experiment import (
     RAW_BLOCK,
     SamplePlan,
     binomial_sigma,
-    case4_block,
     case4_eta_points,
+    classified_block,
     compare_vs_baseline,
     containment_analysis,
     evaluate_covers,
@@ -22,13 +25,6 @@ from hexcover.experiment import (
 
 def collect_etas(plan, case="case4"):
     return np.concatenate([eta for eta, _, _ in sample_case4(plan, case)], axis=1)
-
-
-def test_chunk_size_does_not_change_stream():
-    base = SamplePlan(target_case4_samples=5000, seed=3, chunk_size=1)
-    for chunk in (4, 16):
-        plan = SamplePlan(target_case4_samples=5000, seed=3, chunk_size=chunk)
-        assert np.array_equal(collect_etas(plan), collect_etas(base))
 
 
 def test_threads_do_not_change_stream():
@@ -44,7 +40,7 @@ def test_sample_count_is_exact():
 
 def test_draws_strictly_positive_and_in_box():
     for box in (0.1, 10.0):
-        eta, a, b = case4_block(seed=0, block=0, box_size=box)
+        eta, a, b = classified_block(seed=0, block=0, box_size=box, case="case4")
         assert (a > 0).all() and (b < 0).all()
         # the pass-through rate constants live in (0, box]
         for row in (4, 5, 6, 7):
@@ -54,7 +50,7 @@ def test_draws_strictly_positive_and_in_box():
 def test_acceptance_rate_scale_invariant():
     rates = []
     for box in (0.1, 1.0, 10.0, 100.0):
-        accepted = sum(case4_block(0, blk, box)[1].size for blk in range(4))
+        accepted = sum(classified_block(0, blk, box, "case4")[1].size for blk in range(4))
         rates.append(accepted / (4 * RAW_BLOCK))
     p = rates[1]
     sigma = binomial_sigma(p, 4 * RAW_BLOCK)
@@ -78,10 +74,59 @@ def test_union_dominates_each_cover(small_run):
     assert small_run.union_count == expected_union
 
 
+def test_pool_does_not_run_cancelled_lookahead(monkeypatch):
+    plan = SamplePlan(target_case4_samples=20_000, seed=5, threads=2)
+    needed = evaluate_covers(SamplePlan(target_case4_samples=20_000, seed=5),
+                             keep_theta=()).raw_draws // RAW_BLOCK
+    calls, released = [], threading.Event()
+    original = experiment.classified_block
+
+    def counted(seed, block, box_size, case):
+        calls.append(block)
+        if block >= needed:
+            # hold each unneeded block so the look-ahead cannot drain before the stream closes
+            released.wait(timeout=1.0)
+        return original(seed, block, box_size, case)
+
+    monkeypatch.setattr(experiment, "classified_block", counted)
+    try:
+        run = evaluate_covers(plan, keep_theta=())
+    finally:
+        released.set()
+    assert run.raw_draws // RAW_BLOCK == needed
+    assert len(calls) <= needed + plan.threads
+
+
+def test_histogram_statistics_match_per_sample_bits(small_run):
+    bits = ((small_run.hits[None, :] >> np.arange(16)[:, None]) & 1).astype(np.int64)
+    assert np.array_equal(small_run.counts, bits.sum(axis=1))
+    assert small_run.union_count == int(bits.any(axis=0).sum())
+    diff = bits.sum(axis=1)[:, None] - bits @ bits.T
+    np.fill_diagonal(diff, 0)
+    rep = containment_analysis(small_run)
+    assert np.array_equal(rep.matrix, diff)
+    assert np.array_equal(rep.unique_counts, bits[:, bits.sum(axis=0) == 1].sum(axis=1))
+    base = bits[8].astype(bool)
+    for r in compare_vs_baseline(small_run, baseline=9):
+        mine = bits[r.cover_id - 1].astype(bool)
+        assert (r.plus, r.minus, r.zero) == (int((mine & ~base).sum()), int((base & ~mine).sum()),
+                                             int((~mine & ~base).sum()))
+
+
+def test_containment_allocates_nothing_per_sample(small_run):
+    tracemalloc.start()
+    try:
+        containment_analysis(small_run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * small_run.n  # less than one 8-byte word per sample
+
+
 def test_matrix_deterministic_across_threads(small_run):
     redo = evaluate_covers(
         SamplePlan(target_case4_samples=small_run.n, seed=small_run.plan.seed,
-                   threads=4, chunk_size=2),
+                   threads=4),
         keep_theta=(4, 9, 10, 12, 15))
     assert np.array_equal(redo.hits, small_run.hits)
     for cid in (4, 9, 10, 12, 15):
@@ -179,5 +224,6 @@ def test_plan_validation():
         SamplePlan(target_case4_samples=0)
     with pytest.raises(ValueError):
         SamplePlan(box_size=0.0)
-    with pytest.raises(ValueError):
-        SamplePlan(chunk_size=0)
+    for bad in ({"box_size": math.nan}, {"box_size": math.inf}, {"seed": -1}, {"seed": 2**64}):
+        with pytest.raises(ValueError):
+            SamplePlan(**bad)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from hexcover.circuits import cover_theta_sum
 from hexcover.covers import cover_fixture
-from hexcover.experiment import case4_eta_points
+from hexcover.experiment import case4_eta_points, classified_block, hex_coefficient_arrays
 from hexcover.geometry import A2, A4, A6, M
 from hexcover.model import (
     Case,
@@ -225,3 +225,10 @@ def test_certificate_scale_invariance():
                 verdict0 = -b0 <= closed_form_bound(cid, eta)
                 verdict1 = -b1 <= closed_form_bound(cid, scaled)
                 assert verdict0 == verdict1
+
+
+def test_scalar_c_m_matches_batch_bits():
+    eta, a, b = classified_block(seed=11, block=0, box_size=1.0, case="case4")
+    _, c_m = hex_coefficient_arrays(eta, a, b)
+    scalar = [hex_coefficients(EtaPoint(*map(float, eta[:, j]))).c_m for j in range(eta.shape[1])]
+    assert np.array_equal(np.array(scalar), c_m)
