@@ -5,10 +5,15 @@ and one (sign-unrestricted) coefficient on a point in the simplex's relative
 interior.  Its circuit number Theta = prod_i (c_i / lambda_i)**lambda_i decides
 nonnegativity on the positive orthant: the polynomial is nonnegative iff
 -c_beta <= Theta.
+
+Theta is evaluated as exp(const + sum_i lambda_i log c_i); the float lambdas
+and const = -sum_i lambda_i log lambda_i of each simplex are compiled once and
+shared by ``circuit_number`` and the batch kernel ``experiment.CoverEvaluator``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -42,19 +47,27 @@ class CircuitSupport:
                 raise ValueError(f"coefficient at {v} must be positive, got {c}")
 
 
+@functools.cache
+def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[float, ...], float]:
+    """(float lambdas, const = -sum lambda_i log lambda_i) of ``interior`` in ``simplex``.
+
+    Raises :class:`NotACircuitError` unless ``interior`` is relatively interior.
+    """
+    lam = barycentric_coordinates(simplex, interior)
+    if lam is None:
+        raise NotACircuitError(f"{interior} not in the relative interior of {simplex.vertices}")
+    lams = lam.as_floats()
+    return lams, -sum(l * math.log(l) for l in lams)
+
+
 def circuit_number(c: CircuitSupport) -> float:
     """Theta = prod (c_i / lambda_i)**lambda_i, evaluated in log space.
 
-    The log-space form exp(sum lambda_i*(ln c_i - ln lambda_i)) avoids
-    overflow for coefficients spanning many orders of magnitude.
+    The log-space form exp(const + sum lambda_i ln c_i) avoids overflow for
+    coefficients spanning many orders of magnitude.
     """
-    lam = barycentric_coordinates(c.simplex, c.interior)
-    if lam is None:
-        raise NotACircuitError(f"{c.interior} not in the relative interior of {c.simplex.vertices}")
-    acc = 0.0
-    for v, l in zip(c.simplex.vertices, lam.as_floats()):
-        acc += l * (math.log(c.positive_coeffs[v]) - math.log(l))
-    return math.exp(acc)
+    lams, const = _compiled_simplex(c.simplex, c.interior)
+    return math.exp(sum((l * math.log(c.positive_coeffs[v]) for v, l in zip(c.simplex, lams)), const))
 
 
 def is_nonnegative(c: CircuitSupport) -> bool:
@@ -90,16 +103,8 @@ def cover_theta_sum(cover, coeffs: Mapping[LatticePoint, float], interior: Latti
     from .geometry import M
 
     interior = M if interior is None else interior
-    simplices = getattr(cover, "simplices", cover)
-    total = 0.0
-    for s in simplices:
-        for v in s.vertices:
-            if not coeffs[v] > 0:
-                raise ValueError(f"coefficient at {v} must be positive, got {coeffs[v]}")
-        total += circuit_number(
-            CircuitSupport(s, interior, {v: coeffs[v] for v in s.vertices})
-        )
-    return total
+    return sum(circuit_number(CircuitSupport(s, interior, {v: coeffs[v] for v in s.vertices}))
+               for s in getattr(cover, "simplices", cover))
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,20 @@ scaled by 100 to match the published table (see the table2 docstring).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from . import __version__
-from .circuits import CircuitSupport, circuit_number, cover_theta_sum, optimize_scalar_weight
+from .circuits import (CircuitSupport, WeightedCover, circuit_number, cover_theta_sum,
+                       optimize_scalar_weight, weighted_theta_sum)
 from .covers import all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers, fixture_keys
-from .geometry import A2, A4, A6, M, LatticePoint, Simplex, hexagon_points
+from .geometry import A1, A2, A4, A6, M, LatticePoint, Simplex, hexagon_points
 from .model import (
     Case,
     EtaPoint,
@@ -30,11 +35,13 @@ from .model import (
     reduce,
 )
 from .experiment import (
+    CoverEvaluator,
     SamplePlan,
     case4_eta_points,
     compare_vs_baseline,
     containment_analysis,
     evaluate_covers,
+    hex_coefficient_arrays,
     linear_homotopy,
     simplicial_homotopy,
 )
@@ -46,6 +53,7 @@ EXIT_USAGE = 64
 
 BUILD_ID = f"hexcover-{__version__}"
 TABLE2_SCALE = 100.0  # relative-comparison ratios are reported as percentages
+_cover_evaluator = functools.cache(CoverEvaluator)  # built on first certify, then reused
 
 
 def _default_seed() -> int:
@@ -167,7 +175,7 @@ def _parse_vector(text: str) -> list[float]:
 def cmd_certify(args) -> int:
     try:
         if args.file:
-            values = _parse_vector(open(args.file).read())
+            values = _parse_vector(Path(args.file).read_text())
         elif args.kappa:
             values = _parse_vector(args.kappa)
         elif args.eta:
@@ -198,19 +206,18 @@ def cmd_certify(args) -> int:
         print("verdict: undetermined here (boundary case a = 0)")
         return EXIT_UNDETERMINED
 
-    coeffs = hex_coefficients(eta)
-    neg_cm = -coeffs.c_m
-    any_hit = False
-    for cover in all_covers():
-        theta = cover_theta_sum(cover, coeffs.coeffs)
-        hit = theta >= neg_cm
-        any_hit = any_hit or hit
+    # a batch of one through the Monte-Carlo kernel, so verdicts match its hit masks bit for bit
+    coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
+    thetas = _cover_evaluator().theta_sums(np.log(coeffs))[:, 0]
+    neg_cm = -c_m[0]
+    hits = thetas >= neg_cm
+    for cover, theta, hit in zip(all_covers(), thetas, hits):
         print(f"CC({cover.id}): theta_sum={theta:.6g}  -c_m={neg_cm:.6g}  "
               f"{'CERTIFIED' if hit else 'not certified'}")
-    print(f"union: {'CERTIFIED' if any_hit else 'not certified'}")
+    print(f"union: {'CERTIFIED' if hits.any() else 'not certified'}")
     for cid in (4, 9, 10, 12, 15):
         print(f"bound CC({cid}): {closed_form_bound(cid, eta):.6g}  -b={-sc.b_value:.6g}")
-    if any_hit:
+    if hits.any():
         print("verdict: monostationary (certified by circuit cover)")
         return EXIT_OK
     print("verdict: undetermined (no cover certificate at this point)")
@@ -339,22 +346,14 @@ def cmd_homotopy(args) -> int:
 def _selftest_checks() -> list[tuple[str, bool, str]]:
     checks = []
 
-    theta = circuit_number(CircuitSupport(
-        Simplex((A4, A2, A6)), M, {A4: 1.0, A2: 1.0, A6: 1.0}))
+    tri, seg = Simplex((A4, A2, A6)), Simplex((A1, A4))
+    theta = circuit_number(CircuitSupport(tri, M, {A4: 1.0, A2: 1.0, A6: 1.0}))
     checks.append(("circuit_number_theta_3", abs(theta - 3.0) <= 1e-12, f"theta={theta!r}"))
 
-    tri = Simplex((LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)))
-    seg = Simplex((LatticePoint(0, 0), LatticePoint(4, 2)))
+    ones = {v: 1.0 for v in (A1, A2, A4, A6)}
 
-    def toy(w):
-        total = 0.0
-        if w > 0:
-            total += circuit_number(CircuitSupport(tri, M, {v: (w if v == LatticePoint(4, 2) else 1.0)
-                                                            for v in tri.vertices}))
-        if w < 1:
-            total += circuit_number(CircuitSupport(seg, M, {LatticePoint(0, 0): 1.0,
-                                                            LatticePoint(4, 2): 1.0 - w}))
-        return total
+    def toy(w):  # split a4's coefficient between the triangle (w) and the segment (1 - w)
+        return weighted_theta_sum(WeightedCover(((tri,), (seg,)), {(0, A4): w, (1, A4): 1.0 - w}), ones)
 
     w_opt, value = optimize_scalar_weight(toy)
     checks.append(("toy_weighted_optimum",

@@ -28,12 +28,10 @@ from numpy.random import Generator, Philox
 from .covers import all_covers
 from .geometry import HEXAGON_POSITIVE, M, POINT_INDEX
 from .model import _raw_hex_coefficients, _reduced, ab_values
-from .circuits import PureCover
-from . import geometry
+from .circuits import _compiled_simplex
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
-LOOKAHEAD_PER_THREAD = 8  # blocks queued ahead per worker thread
-DEFAULT_KEEP_THETA = (4, 9, 10, 12, 15)
+LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
 
 
 @dataclass(frozen=True)
@@ -59,35 +57,27 @@ class SamplePlan:
 
 
 class CoverEvaluator:
-    """Vectorized Theta-sum evaluation for a set of covers.
+    """Vectorized Theta sums of the 16 pure covers, one table row per distinct simplex.
 
-    Per simplex the circuit number is exp(const + lambda . log c) with
-    const = -sum lambda_i log lambda_i, so a whole block of samples costs one
-    matrix product per simplex.
+    The covers use 66 simplex blocks but only 21 distinct simplices.  Each is
+    evaluated once, elementwise, as exp(const + lambda_0*L[i0] + lambda_1*L[i1]
+    (+ lambda_2*L[i2])) with lambdas and const from ``_compiled_simplex``, so
+    a sample gets the same bits in any batch; a single point is a batch of one.
     """
 
-    def __init__(self, covers: list[PureCover] | None = None):
-        self.covers = list(covers) if covers is not None else all_covers()
-        self._compiled = []
-        for cover in self.covers:
-            simplices = []
-            for s in cover.simplices:
-                lam = geometry.barycentric_coordinates(s, M)
-                if lam is None:
-                    raise ValueError(f"simplex {s.vertices} does not contain m")
-                lams = np.array(lam.as_floats())
-                idx = np.array([POINT_INDEX[v] for v in s.vertices])
-                const = float(-(lams * np.log(lams)).sum())
-                simplices.append((idx, lams, const))
-            self._compiled.append(simplices)
+    def __init__(self):
+        self.covers = all_covers()
+        rows: dict = {}
+        self._cover_rows = [[rows.setdefault(s, len(rows)) for s in cover.simplices]
+                            for cover in self.covers]
+        self._table = [([POINT_INDEX[v] for v in s.vertices], *_compiled_simplex(s, M))
+                       for s in rows]
 
     def theta_sums(self, log_coeffs: np.ndarray) -> np.ndarray:
-        """(n_covers, k) Theta sums from a (10, k) array of log coefficients."""
-        out = np.zeros((len(self._compiled), log_coeffs.shape[1]))
-        for row, simplices in enumerate(self._compiled):
-            for idx, lams, const in simplices:
-                out[row] += np.exp(const + lams @ log_coeffs[idx])
-        return out
+        """(16, k) Theta sums from a (10, k) array of log coefficients."""
+        thetas = [np.exp(sum((l * log_coeffs[i] for i, l in zip(idx, lams)), const))
+                  for idx, lams, const in self._table]
+        return np.stack([sum(thetas[r] for r in rows) for rows in self._cover_rows])
 
 
 def classified_block(seed: int, block: int, box_size: float, case: str):
@@ -120,9 +110,11 @@ def _accepted_blocks(plan: SamplePlan, case: str):
 
     Yields exactly one item per raw block drawn, so the caller can count raw
     draws; only the final block is truncated, so exactly
-    ``target_case4_samples`` samples come out.  With several threads, up to
-    ``LOOKAHEAD_PER_THREAD`` blocks per thread are drawn ahead; blocks not yet
-    started when the stream closes are cancelled.
+    ``target_case4_samples`` samples come out.  With several threads, blocks
+    are drawn ahead (one per thread until the first returns, then at most
+    ``LOOKAHEAD_PER_THREAD`` per thread) only while those in flight, at the
+    acceptance seen so far, fall short of the samples still needed; any not
+    yet started when the stream closes are cancelled.
     """
     pool = ThreadPoolExecutor(max_workers=plan.threads) if plan.threads > 1 else None
     ahead = deque()
@@ -132,7 +124,10 @@ def _accepted_blocks(plan: SamplePlan, case: str):
             if pool is None:
                 eta, a, b = classified_block(plan.seed, block, plan.box_size, case)
             else:
-                while len(ahead) < LOOKAHEAD_PER_THREAD * plan.threads:
+                accepted = plan.target_case4_samples - remaining
+                while len(ahead) < LOOKAHEAD_PER_THREAD * plan.threads and (
+                        len(ahead) * accepted < remaining * block if block
+                        else len(ahead) < plan.threads):
                     ahead.append(pool.submit(classified_block, plan.seed, block + len(ahead),
                                              plan.box_size, case))
                 eta, a, b = ahead.popleft().result()
@@ -164,7 +159,8 @@ class CoverHitMatrix:
     certified the sample).  ``masks`` lists the distinct masks in ascending
     order and ``mask_counts`` how often each occurs; every joint count is
     computed from these two.  ``theta`` retains per-sample Theta sums for the
-    covers in ``keep_theta`` so homotopies can reuse the same stream.
+    covers in ``keep_theta``, and ``c_m`` the per-sample c_m when any are
+    kept, so homotopies can reuse the same stream.
     """
 
     hits: np.ndarray
@@ -206,8 +202,7 @@ class CoverHitMatrix:
         return self.union_count / self.n
 
 
-def evaluate_covers(plan: SamplePlan, keep_theta=DEFAULT_KEEP_THETA,
-                    keep_eta: bool = False) -> CoverHitMatrix:
+def evaluate_covers(plan: SamplePlan, keep_theta=(), keep_eta: bool = False) -> CoverHitMatrix:
     """Run the sampling plan and test every cover's certificate per sample."""
     evaluator = CoverEvaluator()
     keep_theta = tuple(keep_theta)
@@ -222,7 +217,8 @@ def evaluate_covers(plan: SamplePlan, keep_theta=DEFAULT_KEEP_THETA,
         hit_chunks.append(mask)
         for cid in keep_theta:
             theta_chunks[cid].append(theta[cid - 1].copy())
-        cm_chunks.append(c_m)
+        if keep_theta:
+            cm_chunks.append(c_m)
         if keep_eta:
             eta_chunks.append(eta)
     return CoverHitMatrix(
@@ -230,7 +226,7 @@ def evaluate_covers(plan: SamplePlan, keep_theta=DEFAULT_KEEP_THETA,
         raw_draws=len(hit_chunks) * RAW_BLOCK,
         plan=plan,
         theta={cid: np.concatenate(cs) for cid, cs in theta_chunks.items()},
-        c_m=np.concatenate(cm_chunks),
+        c_m=np.concatenate(cm_chunks) if keep_theta else None,
         eta=np.concatenate(eta_chunks, axis=1) if keep_eta else None,
     )
 

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hexcover.cli import EXIT_MULTISTATIONARY, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE, main
+from hexcover.experiment import CoverEvaluator, SamplePlan, sample_case4
 
 N_SMALL = ["--n", "5000"]
 
@@ -70,6 +72,19 @@ def test_certify_from_file(tmp_path, capsys):
     f = tmp_path / "kappa.txt"
     f.write_text(" ".join(["1"] * 12))
     assert run(capsys, "certify", "--file", str(f))[0] == EXIT_OK
+
+
+def test_certify_matches_batch_verdicts(capsys):
+    # the 50 samples of a seeded stream closest to some cover's threshold
+    (eta, coeffs, c_m), = sample_case4(SamplePlan(target_case4_samples=5000, seed=21))
+    theta = CoverEvaluator().theta_sums(np.log(coeffs))
+    margin = np.abs(theta + c_m).min(axis=0) / -c_m
+    for j in np.argsort(margin)[:50]:
+        code, out, _ = run(capsys, "certify", "--eta", ",".join(repr(float(v)) for v in eta[:, j]))
+        hits = theta[:, j] >= -c_m[j]
+        certified = [line.endswith("CERTIFIED") for line in out.splitlines() if line.startswith("CC(")]
+        assert certified == hits.tolist()
+        assert code == (EXIT_OK if hits.any() else EXIT_UNDETERMINED)
 
 
 def test_table1_shape_and_header(capsys):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from hexcover import experiment
+from hexcover.circuits import cover_theta_sum
 from hexcover.experiment import (
     RAW_BLOCK,
+    CoverEvaluator,
     SamplePlan,
     binomial_sigma,
     case4_eta_points,
@@ -21,6 +23,7 @@ from hexcover.experiment import (
     sample_case4,
     simplicial_homotopy,
 )
+from hexcover.geometry import HEXAGON_POSITIVE
 
 
 def collect_etas(plan, case="case4"):
@@ -95,6 +98,34 @@ def test_pool_does_not_run_cancelled_lookahead(monkeypatch):
         released.set()
     assert run.raw_draws // RAW_BLOCK == needed
     assert len(calls) <= needed + plan.threads
+
+
+def test_lookahead_draws_only_needed_blocks(monkeypatch):
+    calls = []
+    original = experiment.classified_block
+
+    def counted(seed, block, box_size, case):
+        calls.append(block)
+        return original(seed, block, box_size, case)
+
+    monkeypatch.setattr(experiment, "classified_block", counted)
+    run = evaluate_covers(SamplePlan(target_case4_samples=100_000, seed=5, threads=4))
+    assert sorted(calls) == list(range(run.raw_draws // RAW_BLOCK))
+
+
+def test_theta_sums_batch_of_one_matches_block():
+    (eta, coeffs, c_m), = sample_case4(SamplePlan(target_case4_samples=6000, seed=8))
+    evaluator = CoverEvaluator()
+    log_coeffs = np.log(coeffs)
+    block = evaluator.theta_sums(log_coeffs)
+    single = np.concatenate([evaluator.theta_sums(log_coeffs[:, [j]]) for j in range(6000)],
+                            axis=1)
+    assert np.array_equal(single.view(np.uint64), block.view(np.uint64))
+    # the scalar definition stays the reference; only log/exp rounding may differ
+    for j in range(0, 6000, 60):
+        point = dict(zip(HEXAGON_POSITIVE, coeffs[:, j]))
+        for cover, theta in zip(evaluator.covers, block[:, j]):
+            assert math.isclose(theta, cover_theta_sum(cover, point), rel_tol=1e-12)
 
 
 def test_histogram_statistics_match_per_sample_bits(small_run):
