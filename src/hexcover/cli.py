@@ -35,6 +35,8 @@ from .model import (
     reduce,
 )
 from .experiment import (
+    MAX_SWEEP_STEPS,
+    MAX_THREADS,
     CoverEvaluator,
     SamplePlan,
     case4_eta_points,
@@ -44,6 +46,7 @@ from .experiment import (
     hex_coefficient_arrays,
     linear_homotopy,
     simplicial_homotopy,
+    sweep_steps,
 )
 
 EXIT_OK = 0
@@ -313,11 +316,14 @@ def cmd_homotopy(args) -> int:
         cover_ids = [int(t) for t in args.covers.split(",")]
         if len(cover_ids) not in (2, 3):
             raise ValueError("need 2 or 3 cover ids")
+        if len(set(cover_ids)) != len(cover_ids) or not set(cover_ids) <= set(range(1, 17)):
+            raise ValueError(f"need distinct cover ids in 1..16, got {args.covers}")
+        delta = args.delta if args.delta is not None else (0.05 if len(cover_ids) == 2 else 1 / 16)
+        sweep_steps(delta)  # reject a bad step before sampling
     except ValueError as exc:
         print(f"homotopy: {exc}", file=sys.stderr)
         return EXIT_USAGE
     plan = args.plan
-    delta = args.delta if args.delta is not None else (0.05 if len(cover_ids) == 2 else 1 / 16)
     m = evaluate_covers(plan, keep_theta=tuple(cover_ids))
     if len(cover_ids) == 2:
         curve = linear_homotopy(m, *cover_ids, dt=delta)
@@ -401,7 +407,8 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--box", type=float, default=None, help="hypercube side length N (default 1)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: SONC_MONO_SEED or 42)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads, 1 to {MAX_THREADS} (default 1)")
     p.add_argument("--config", default=None, help="key=value config file; flags win")
     p.add_argument("--out", default=None, help="output path prefix for CSV/JSON")
 
@@ -437,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homotopy")
     _add_plan_flags(p)
     p.add_argument("--covers", required=True, help="2 or 3 comma-separated cover ids")
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=float, default=None,
+                   help=f"grid step dividing 1 into at most {MAX_SWEEP_STEPS} steps")
     p.set_defaults(func=cmd_homotopy)
 
     p = sub.add_parser("selftest")
@@ -446,10 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args returns a fresh Namespace per call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     if hasattr(args, "seed"):  # experiment commands

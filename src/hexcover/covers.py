@@ -126,16 +126,22 @@ def fixture_keys() -> dict[int, str]:
     return dict(_parsed_fixture())
 
 
+@functools.cache
+def _fixture_covers() -> dict[int, PureCover]:
+    """The fixture covers by id, parsed once per process; PureCover and Simplex are frozen."""
+    return {i: parse_cover(key, i) for i, key in _parsed_fixture().items()}
+
+
 def cover_fixture(id: int) -> PureCover:
     """The labeled pure cover CC(id), id in 1..16."""
-    keys = _parsed_fixture()
-    if id not in keys:
+    covers = _fixture_covers()
+    if id not in covers:
         raise ValueError(f"cover id must be in 1..16, got {id}")
-    return parse_cover(keys[id], id)
+    return covers[id]
 
 
 def all_covers() -> list[PureCover]:
-    """The 16 labeled hexagon covers, ordered by id."""
+    """The 16 labeled hexagon covers, ordered by id, as a fresh list."""
     return [cover_fixture(i) for i in range(1, 17)]
 
 

@@ -15,6 +15,7 @@ runs emit the same sample sequence bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -32,14 +33,17 @@ from .circuits import _compiled_simplex
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
 LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
+MAX_THREADS = 64  # most worker threads a plan may ask for
+MAX_SWEEP_STEPS = 1000  # most grid steps per side of a homotopy sweep
 
 
 @dataclass(frozen=True)
 class SamplePlan:
     """Sampling configuration for one experiment run.
 
-    ``threads`` sets how many worker threads draw blocks; it never changes the
-    sample stream, which depends only on the seed and the box size.
+    ``threads`` (1 to ``MAX_THREADS``) sets how many worker threads draw
+    blocks; it never changes the sample stream, which depends only on the seed
+    and the box size.
     """
 
     box_size: float = 1.0
@@ -54,6 +58,8 @@ class SamplePlan:
             raise ValueError(f"box_size must be positive and finite, got {self.box_size}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {self.threads}")
 
 
 class CoverEvaluator:
@@ -205,7 +211,9 @@ class CoverHitMatrix:
 def evaluate_covers(plan: SamplePlan, keep_theta=(), keep_eta: bool = False) -> CoverHitMatrix:
     """Run the sampling plan and test every cover's certificate per sample."""
     evaluator = CoverEvaluator()
-    keep_theta = tuple(keep_theta)
+    keep_theta = tuple(dict.fromkeys(keep_theta))
+    if not set(keep_theta) <= set(range(1, 17)):
+        raise ValueError(f"cover ids must be in 1..16, got {keep_theta}")
     hit_chunks, theta_chunks = [], {cid: [] for cid in keep_theta}
     cm_chunks, eta_chunks = [], []
     for eta, coeffs, c_m in sample_case4(plan):
@@ -319,45 +327,105 @@ class HomotopyCurve:
     ratios: tuple[float, ...]
 
 
-def _require_theta(matrix: CoverHitMatrix, cover_ids):
+SWEEP_SLACK = 16 * 2.0**-52  # relative slack of the sweep prune, derived in ``_sweep``
+_WEIGHT_SUM_TOL = 4 * 2.0**-52  # the prune needs grid weights summing to 1 within this
+_PRUNE_RANGE = (2.0**-960, 2.0**960)  # the prune classifies only inside this range
+
+
+def sweep_steps(step: float) -> int:
+    """Grid steps per side for a homotopy step size; ValueError unless it divides 1 evenly."""
+    if not 0 < step <= 1:
+        raise ValueError(f"step must be in (0, 1], got {step}")
+    steps = round(1.0 / step)
+    if steps > MAX_SWEEP_STEPS:
+        raise ValueError(f"step {step} gives more than {MAX_SWEEP_STEPS} grid steps")
+    if abs(steps * step - 1.0) > 1e-9:
+        raise ValueError(f"step {step} does not divide 1 evenly")
+    return steps
+
+
+def _hits(weights, thetas, neg_cm) -> int:
+    """Samples with w_0*Theta_0 + w_1*Theta_1 (+ w_2*Theta_2) >= -c_m, summed left to right."""
+    total = weights[0] * thetas[0]
+    for w, theta in zip(weights[1:], thetas[1:]):
+        total = total + w * theta
+    return int(np.count_nonzero(total >= neg_cm))
+
+
+def _classify(thetas, neg_cm: np.ndarray) -> tuple[int, np.ndarray]:
+    """(number of *always* samples, mask of *mixed* samples); see ``_sweep``.
+
+    The smallest Theta is dropped before the largest is formed, so at most two
+    n-length float arrays besides the inputs are alive at once.
+    """
+    low, high = _PRUNE_RANGE
+    prunable = (neg_cm >= low) & (neg_cm <= high)
+    lo = functools.reduce(np.minimum, thetas)
+    always = prunable & (lo >= neg_cm * (1.0 + SWEEP_SLACK))
+    del lo
+    hi = functools.reduce(np.maximum, thetas)
+    always &= hi <= high
+    never = prunable & (hi < neg_cm * (1.0 - SWEEP_SLACK))
+    return int(np.count_nonzero(always)), ~(always | never)
+
+
+def _sweep(thetas, neg_cm: np.ndarray, weights) -> list[int]:
+    """Counts of ``_hits`` at each weight tuple, evaluating only the samples that can change.
+
+    Each sample is classified once by its smallest and largest Theta: *always*
+    certified when min Theta >= -c_m*(1+d), *never* when max Theta <
+    -c_m*(1-d), with d = SWEEP_SLACK; only the *mixed* rest is evaluated per
+    weight tuple, with the same float expression as a full evaluation.
+
+    Why d = 16*2^-52 keeps the counts exact: let u = 2^-53.  If the weights
+    are >= 0 and ``math.fsum`` puts their sum within 4*2^-52 = 8u of 1, their
+    exact sum W is within eta ~ 9u of 1.  The expression has at most 3
+    products and 2 additions of nonnegative numbers, each rounded once, so it
+    returns V with W*min Theta*(1-u)^3 <= V <= W*max Theta*(1+u)^3, and the
+    thresholds -c_m*(1+-d) are rounded once more.  So an *always* sample has
+    V >= -c_m*(1+d)(1-u)^4(1-eta) >= -c_m, and a *never* sample V <
+    -c_m*(1-d)(1+u)^4(1+eta) <= -c_m, whenever d >= 4u + eta + O(u^2) ~ 13u;
+    d = 32u leaves more than twice that.  Only samples with -c_m in
+    ``_PRUNE_RANGE`` are classified, and *always* needs max Theta in it too,
+    so nothing overflows, underflow errs by less than 2^-110 of -c_m, and an
+    inf or NaN Theta leaves its sample mixed.
+    Weight tuples that fail the check (e.g. 1.0-s-t rounding to -1e-17 on a
+    non-dyadic grid) are evaluated on every sample.
+    """
+    n_always, mixed = _classify(thetas, neg_cm)
+    mixed_thetas, mixed_cm = [theta[mixed] for theta in thetas], neg_cm[mixed]
+    return [n_always + _hits(w, mixed_thetas, mixed_cm)
+            if min(w) >= 0 and abs(math.fsum(w) - 1.0) <= _WEIGHT_SUM_TOL
+            else _hits(w, thetas, neg_cm)
+            for w in weights]
+
+
+def _retained_theta(matrix: CoverHitMatrix, cover_ids) -> list[np.ndarray]:
     for cid in cover_ids:
         if cid not in matrix.theta:
             raise ValueError(f"run did not retain Theta sums for cover {cid}")
     if matrix.c_m is None:
         raise ValueError("run did not retain c_m")
+    return [matrix.theta[cid] for cid in cover_ids]
 
 
 def linear_homotopy(matrix: CoverHitMatrix, a: int, b: int, dt: float = 0.05) -> HomotopyCurve:
     """Hit ratios of (1-t)*Theta(a) + t*Theta(b) >= -c_m on the stored stream."""
-    steps = round(1.0 / dt)
-    if abs(steps * dt - 1.0) > 1e-9:
-        raise ValueError(f"step {dt} does not divide 1 evenly")
-    _require_theta(matrix, (a, b))
-    ta, tb, neg_cm = matrix.theta[a], matrix.theta[b], -matrix.c_m
-    grid, ratios = [], []
-    for k in range(steps + 1):
-        t = k / steps
-        ratios.append(float(((1.0 - t) * ta + t * tb >= neg_cm).sum()) / matrix.n)
-        grid.append((t,))
-    return HomotopyCurve((a, b), tuple(grid), tuple(ratios))
+    steps = sweep_steps(dt)
+    thetas = _retained_theta(matrix, (a, b))
+    ts = [k / steps for k in range(steps + 1)]
+    counts = _sweep(thetas, -matrix.c_m, [(1.0 - t, t) for t in ts])
+    return HomotopyCurve((a, b), tuple((t,) for t in ts), tuple(k / matrix.n for k in counts))
 
 
 def simplicial_homotopy(matrix: CoverHitMatrix, a: int, b: int, c: int,
                         delta: float = 1 / 16) -> HomotopyCurve:
     """Ratios of s*Theta(a) + t*Theta(b) + (1-s-t)*Theta(c) over the triangle grid."""
-    steps = round(1.0 / delta)
-    if abs(steps * delta - 1.0) > 1e-9:
-        raise ValueError(f"step {delta} does not divide 1 evenly")
-    _require_theta(matrix, (a, b, c))
-    ta, tb, tc, neg_cm = matrix.theta[a], matrix.theta[b], matrix.theta[c], -matrix.c_m
-    grid, ratios = [], []
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            s, t = i / steps, j / steps
-            theta = s * ta + t * tb + (1.0 - s - t) * tc
-            ratios.append(float((theta >= neg_cm).sum()) / matrix.n)
-            grid.append((s, t))
-    return HomotopyCurve((a, b, c), tuple(grid), tuple(ratios))
+    steps = sweep_steps(delta)
+    thetas = _retained_theta(matrix, (a, b, c))
+    grid = [(i / steps, j / steps) for i in range(steps + 1) for j in range(steps + 1 - i)]
+    counts = _sweep(thetas, -matrix.c_m, [(s, t, 1.0 - s - t) for s, t in grid])
+    return HomotopyCurve((a, b, c), tuple(grid), tuple(k / matrix.n for k in counts))
 
 
 def case4_eta_points(n: int, seed: int = 0, box_size: float = 1.0):

@@ -143,6 +143,38 @@ def test_homotopy_usage_error(capsys):
     assert run(capsys, "homotopy", "--covers", "4", *N_SMALL)[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--delta", "0"), ("--delta", "nan"), ("--delta", "0.3"), ("--delta", "-0.5"),
+    ("--delta", "1e-9"), ("--covers", "4,99"), ("--covers", "4,4"), ("--covers", "0,9"),
+])
+def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
+    import hexcover.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("bad homotopy input must be rejected before sampling")
+
+    monkeypatch.setattr(cli, "evaluate_covers", no_sampling)
+    code, out, err = run(capsys, "homotopy", "--covers", "4,9,15", flag, value)  # last flag wins
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_parser_built_once_without_state_between_calls(capsys):
+    import hexcover.cli as cli
+
+    assert cli._parser() is cli._parser()
+    first = cli._parser().parse_args(["table2", "--baseline", "3", "--n", "7", "--seed", "5"])
+    second = cli._parser().parse_args(["table2"])
+    assert (first.baseline, first.n, first.seed) == (3, 7, 5)
+    assert (second.baseline, second.n, second.seed) == (9, None, None)
+    code, out, _ = run(capsys, "homotopy", "--covers", "4,9", "--delta", "0.25", "--seed", "9",
+                       *N_SMALL)
+    assert code == EXIT_OK and "# seed: 9" in out and "# delta: 0.25" in out
+    code, out, _ = run(capsys, "table2", "--n", "2000")
+    assert code == EXIT_OK and "# seed: 42" in out and "# n: 2000" in out
+    assert "# delta" not in out and "# baseline: 9" in out
+
+
 def test_selftest(capsys):
     assert run(capsys, "selftest")[0] == EXIT_OK
 

@@ -158,6 +158,14 @@ def test_all_covers_ordered():
     assert [c.id for c in covers] == list(range(1, 17))
 
 
+def test_all_covers_parsed_once_as_fresh_lists():
+    first = all_covers()
+    first.pop()
+    second = all_covers()
+    assert len(second) == 16 and second is not first
+    assert all(a is b for a, b in zip(second, all_covers()))
+
+
 def test_enumerate_rejects_bad_input():
     with pytest.raises(ValueError):
         enumerate_pure_covers([LatticePoint(0, 1), LatticePoint(0, 1)], M)

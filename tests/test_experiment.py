@@ -10,7 +10,10 @@ import pytest
 from hexcover import experiment
 from hexcover.circuits import cover_theta_sum
 from hexcover.experiment import (
+    MAX_SWEEP_STEPS,
+    MAX_THREADS,
     RAW_BLOCK,
+    SWEEP_SLACK,
     CoverEvaluator,
     SamplePlan,
     binomial_sigma,
@@ -22,6 +25,7 @@ from hexcover.experiment import (
     linear_homotopy,
     sample_case4,
     simplicial_homotopy,
+    sweep_steps,
 )
 from hexcover.geometry import HEXAGON_POSITIVE
 
@@ -243,6 +247,89 @@ def test_homotopy_requires_retained_theta(small_run):
         linear_homotopy(small_run, 1, 9)
 
 
+def _brute_linear(matrix, a, b, dt):
+    """The grid loop that evaluated every sample at every point, kept as the reference."""
+    steps = round(1.0 / dt)
+    ta, tb, neg_cm = matrix.theta[a], matrix.theta[b], -matrix.c_m
+    grid, ratios = [], []
+    for k in range(steps + 1):
+        t = k / steps
+        ratios.append(float(((1.0 - t) * ta + t * tb >= neg_cm).sum()) / matrix.n)
+        grid.append((t,))
+    return experiment.HomotopyCurve((a, b), tuple(grid), tuple(ratios))
+
+
+def _brute_simplicial(matrix, a, b, c, delta):
+    steps = round(1.0 / delta)
+    ta, tb, tc, neg_cm = matrix.theta[a], matrix.theta[b], matrix.theta[c], -matrix.c_m
+    grid, ratios = [], []
+    for i in range(steps + 1):
+        for j in range(steps + 1 - i):
+            s, t = i / steps, j / steps
+            theta = s * ta + t * tb + (1.0 - s - t) * tc
+            ratios.append(float((theta >= neg_cm).sum()) / matrix.n)
+            grid.append((s, t))
+    return experiment.HomotopyCurve((a, b, c), tuple(grid), tuple(ratios))
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.01, 0.1])
+@pytest.mark.parametrize("covers", [(4, 9), (10, 12)])
+def test_linear_sweep_matches_brute_force(small_run, covers, dt):
+    assert linear_homotopy(small_run, *covers, dt=dt) == _brute_linear(small_run, *covers, dt)
+
+
+@pytest.mark.parametrize("delta", [1 / 4, 1 / 16, 0.1])
+def test_simplicial_sweep_matches_brute_force(small_run, delta):
+    assert (simplicial_homotopy(small_run, 4, 9, 15, delta=delta)
+            == _brute_simplicial(small_run, 4, 9, 15, delta))
+
+
+def test_sweep_prune_exact_on_adversarial_thetas():
+    rng = np.random.default_rng(2024)
+    n = 40_000
+    neg_cm = 10.0 ** rng.uniform(-15, 15, n)
+    ulps = rng.integers(-32, 33, size=(3, n)) * 2.0**-52
+    near = neg_cm * (1.0 + ulps)  # within 32 ulps of the threshold
+    spread = neg_cm * 10.0 ** rng.uniform(-15, 15, (3, n))
+    thetas = list(np.where(rng.random((3, n)) < 0.6, near, spread))
+    for theta in thetas:  # inf and NaN are never classified: 0*inf is NaN at the corners
+        theta[:2] = 2 * neg_cm[:2]
+    thetas[1][:2] = np.inf, np.nan
+
+    grid = [(i / 10, j / 10) for i in range(11) for j in range(11 - i)]
+    weights = [(s, t, 1.0 - s - t) for s, t in grid]
+    assert min(w[2] for w in weights) < 0  # 1.0-s-t rounds below 0 on this grid
+    weights += [(i / 7, j / 7, 1.0 - i / 7 - j / 7) for i in range(8) for j in range(8 - i)]
+    weights += [(0.5, 0.5 + 2.0**-40, 0.0), (1 / 3, 1 / 3, 1 / 3)]
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        n_always, mixed = experiment._classify(thetas, neg_cm)
+        counts = experiment._sweep(thetas, neg_cm, weights)
+        brute = [int(((w[0] * thetas[0] + w[1] * thetas[1] + w[2] * thetas[2]) >= neg_cm).sum())
+                 for w in weights]
+    assert counts == brute
+    lo = np.minimum(np.minimum(thetas[0], thetas[1]), thetas[2])
+    close = ~mixed & (np.abs(lo / neg_cm - 1.0) <= 2 * SWEEP_SLACK)
+    assert n_always > 0 and close.sum() > 100  # the prune decided samples within 32 ulps
+
+
+def test_sweep_steps_bounds():
+    assert sweep_steps(0.1) == 10 and sweep_steps(1.0) == 1
+    assert sweep_steps(1 / MAX_SWEEP_STEPS) == MAX_SWEEP_STEPS
+    for bad in (0.0, -0.5, math.nan, math.inf, 2.0, 0.3, 1e-9, 1 / (MAX_SWEEP_STEPS + 1)):
+        with pytest.raises(ValueError):
+            sweep_steps(bad)
+
+
+def test_keep_theta_ids_checked_and_deduplicated():
+    plan = SamplePlan(target_case4_samples=1000, seed=3)
+    run = evaluate_covers(plan, keep_theta=(4, 4))
+    assert list(run.theta) == [4] and run.theta[4].shape == run.c_m.shape == (1000,)
+    for bad in ((0,), (17,), (4, -1)):
+        with pytest.raises(ValueError):
+            evaluate_covers(plan, keep_theta=bad)
+
+
 def test_case4_eta_points_deterministic():
     a = case4_eta_points(10, seed=4)
     b = case4_eta_points(10, seed=4)
@@ -258,3 +345,11 @@ def test_plan_validation():
     for bad in ({"box_size": math.nan}, {"box_size": math.inf}, {"seed": -1}, {"seed": 2**64}):
         with pytest.raises(ValueError):
             SamplePlan(**bad)
+
+
+def test_plan_rejects_thread_counts_out_of_range():
+    # validation only: no plan here is run, so no thread is started
+    assert SamplePlan(threads=MAX_THREADS).threads == MAX_THREADS
+    for bad in (0, -1, MAX_THREADS + 1, 10**6):
+        with pytest.raises(ValueError):
+            SamplePlan(threads=bad)
