@@ -23,7 +23,6 @@ from .circuits import (
     cover_theta_sum,
     is_nonnegative,
     optimize_scalar_weight,
-    scalar_weighted_cover,
     weighted_theta_sum,
 )
 from .covers import all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers, parse_cover

@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
-from .geometry import LatticePoint, Simplex, barycentric_coordinates
+from .geometry import M, LatticePoint, Simplex, barycentric_coordinates
 
 
 class NotACircuitError(ValueError):
@@ -89,22 +89,19 @@ class PureCover:
     id: int
     simplices: tuple[Simplex, ...]
 
-    def points(self) -> set[LatticePoint]:
-        return {v for s in self.simplices for v in s.vertices}
 
-
-def cover_theta_sum(cover, coeffs: Mapping[LatticePoint, float], interior: LatticePoint | None = None) -> float:
+def cover_theta_sum(cover, coeffs: Mapping[LatticePoint, float]) -> float:
     """Sum of circuit numbers of a cover's simplices under ``coeffs``.
 
-    ``cover`` is a :class:`PureCover` or a plain sequence of simplices.  The
-    interior point defaults to the hexagon's negative point m; its coefficient
-    is not consumed here, callers compare the sum against -c_m themselves.
+    ``cover`` is a :class:`PureCover` or a plain sequence of simplices around
+    the hexagon's negative point m.  The coefficient of m is not consumed
+    here; callers compare the sum against -c_m themselves.
     """
-    from .geometry import M
-
-    interior = M if interior is None else interior
-    return sum(circuit_number(CircuitSupport(s, interior, {v: coeffs[v] for v in s.vertices}))
+    return sum(circuit_number(CircuitSupport(s, M, {v: coeffs[v] for v in s.vertices}))
                for s in getattr(cover, "simplices", cover))
+
+
+WEIGHT_TOL = 1e-12  # slack of the WeightedCover invariants
 
 
 @dataclass(frozen=True)
@@ -113,35 +110,30 @@ class WeightedCover:
 
     ``covers`` holds pure covers or plain simplex lists; ``weights`` maps
     (cover index, point) to a weight in [0, 1].  For every point used by more
-    than zero covers the weights must sum to 1.
+    than zero covers the weights must sum to 1, within ``WEIGHT_TOL``.
     """
 
     covers: tuple
     weights: Mapping[tuple[int, LatticePoint], float]
-    tol: float = field(default=1e-12, compare=False)
 
     def __post_init__(self):
         totals: dict[LatticePoint, float] = {}
         for (i, v), w in self.weights.items():
-            if w < -self.tol:
+            if w < -WEIGHT_TOL:
                 raise ValueError(f"negative weight {w} at cover {i}, point {v}")
             totals[v] = totals.get(v, 0.0) + w
         for v, t in totals.items():
-            if abs(t - 1.0) > self.tol:
+            if abs(t - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"weights at {v} sum to {t}, expected 1")
 
 
-def weighted_theta_sum(w: WeightedCover, coeffs: Mapping[LatticePoint, float],
-                       interior: LatticePoint | None = None) -> float:
-    """Theta sum of a weighted cover; zero-weight simplices contribute exactly 0.
+def weighted_theta_sum(w: WeightedCover, coeffs: Mapping[LatticePoint, float]) -> float:
+    """Theta sum of a weighted cover around m; zero-weight simplices contribute exactly 0.
 
     A vanishing effective coefficient sends the whole circuit number to its
     continuous limit 0 (w**lambda times a positive factor as w -> 0), keeping
     homotopy endpoints well defined.
     """
-    from .geometry import M
-
-    interior = M if interior is None else interior
     total = 0.0
     for i, cover in enumerate(w.covers):
         simplices = getattr(cover, "simplices", cover)
@@ -149,19 +141,8 @@ def weighted_theta_sum(w: WeightedCover, coeffs: Mapping[LatticePoint, float],
             eff = {v: w.weights.get((i, v), 1.0) * coeffs[v] for v in s.vertices}
             if any(c <= 0 for c in eff.values()):
                 continue  # limit contribution is exactly zero
-            total += circuit_number(CircuitSupport(s, interior, eff))
+            total += circuit_number(CircuitSupport(s, M, eff))
     return total
-
-
-def scalar_weighted_cover(covers: Sequence, ts: Sequence[float]) -> WeightedCover:
-    """Equal per-vertex weighting: cover i gets scalar weight ts[i] on all its points."""
-    weights = {}
-    for i, cover in enumerate(covers):
-        simplices = getattr(cover, "simplices", cover)
-        for s in simplices:
-            for v in s.vertices:
-                weights[(i, v)] = float(ts[i])
-    return WeightedCover(tuple(covers), weights)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,10 +1,13 @@
 """Command-line front end: enumeration, certification, and experiment reports.
 
 Subcommands: enumerate, certify, table1, table2, containment, homotopy,
-selftest.  Every CSV embeds (seed, n, box, build id) in '#'-prefixed header
-comments; rerunning a command with the same flags reproduces byte-identical
-data rows.  Ratios print with 5 decimals; relative-comparison quantities are
-scaled by 100 to match the published table (see the table2 docstring).
+selftest.  Every input is checked before any work starts: ``main`` builds the
+sample plan and runs the subcommand's check step, and only ``main`` turns a
+ValueError or OSError from them into one stderr line and exit 64.  Every CSV
+embeds (seed, n, box, build id) in '#'-prefixed header comments; rerunning a
+command with the same flags reproduces byte-identical data rows.  Ratios
+print with 5 decimals; relative-comparison quantities are scaled by 100 to
+match the published table (see the table2 docstring).
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ import numpy as np
 from . import __version__
 from .circuits import (CircuitSupport, WeightedCover, circuit_number, cover_theta_sum,
                        optimize_scalar_weight, weighted_theta_sum)
-from .covers import all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers, fixture_keys
+from .covers import (all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers,
+                     fixture_keys, point_configuration)
 from .geometry import A1, A2, A4, A6, M, LatticePoint, Simplex, hexagon_points
 from .model import (
+    CLOSED_FORM_IDS,
     Case,
     EtaPoint,
     KappaVector,
@@ -58,10 +63,9 @@ BUILD_ID = f"hexcover-{__version__}"
 TABLE2_SCALE = 100.0  # relative-comparison ratios are reported as percentages
 _cover_evaluator = functools.cache(CoverEvaluator)  # built on first certify, then reused
 
-
-def _default_seed() -> int:
-    env = os.environ.get("SONC_MONO_SEED")
-    return int(env) if env else 42
+# plan flag (and config key) -> (SamplePlan field, type of a config value)
+_PLAN_FIELDS = {"box": ("box_size", float), "n": ("target_case4_samples", int),
+                "seed": ("seed", int), "threads": ("threads", int)}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -77,47 +81,40 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _plan_from_args(args) -> SamplePlan:
-    conf = _read_config(args.config) if getattr(args, "config", None) else {}
+    """The plan from the values actually supplied; SamplePlan holds the defaults.
 
-    def pick(name, cast, fallback):
-        val = getattr(args, name, None)
-        if val is not None:
-            return val
-        if name in conf:
-            return cast(conf[name])
-        return fallback
-
-    return SamplePlan(
-        box_size=pick("box", float, 1.0),
-        target_case4_samples=pick("n", int, 1_000_000),
-        seed=pick("seed", int, _default_seed()),
-        threads=pick("threads", int, 1),
-    )
+    A flag beats the --config file, which beats SONC_MONO_SEED.
+    """
+    env = os.environ.get("SONC_MONO_SEED")
+    supplied = {"seed": int(env)} if env else {}
+    if args.config:
+        supplied.update(_read_config(args.config))
+    supplied.update({key: value for key in _PLAN_FIELDS
+                     if (value := getattr(args, key)) is not None})
+    return SamplePlan(**{name: cast(supplied[key])
+                         for key, (name, cast) in _PLAN_FIELDS.items() if key in supplied})
 
 
-def _csv_header(plan: SamplePlan | None, extra: dict | None = None) -> list[str]:
-    lines = [f"# build: {BUILD_ID}"]
-    if plan is not None:
-        lines += [
-            f"# seed: {plan.seed}",
-            f"# n: {plan.target_case4_samples}",
-            f"# box: {plan.box_size:g}",
-        ]
-    for k, v in (extra or {}).items():
-        lines.append(f"# {k}: {v}")
-    return lines
+def _report(args, stem: str, n: int, header: dict, rows: list[str], fields: dict) -> int:
+    """Print a report's CSV, or with --out write it and its JSON twin; returns EXIT_OK.
 
-
-def _emit(args, csv_lines: list[str], json_obj: dict, stem: str) -> None:
-    text = "\n".join(csv_lines) + "\n"
-    if getattr(args, "out", None):
-        with open(f"{args.out}{stem}.csv", "w", newline="") as fh:
-            fh.write(text)
-        with open(f"{args.out}{stem}.json", "w") as fh:
-            json.dump(json_obj, fh, indent=2)
-            fh.write("\n")
-    else:
+    Both start with the build id, seed, n and box; ``header`` adds '#' lines
+    to the CSV and ``fields`` adds keys to the JSON.
+    """
+    plan = args.plan
+    lines = [f"# build: {BUILD_ID}", f"# seed: {plan.seed}", f"# n: {plan.target_case4_samples}",
+             f"# box: {plan.box_size:g}", *(f"# {k}: {v}" for k, v in header.items()), *rows]
+    text = "\n".join(lines) + "\n"
+    if not args.out:
         sys.stdout.write(text)
+        return EXIT_OK
+    with open(f"{args.out}{stem}.csv", "w", newline="") as fh:
+        fh.write(text)
+    with open(f"{args.out}{stem}.json", "w") as fh:
+        json.dump({"build": BUILD_ID, "seed": plan.seed, "n": n, "box": plan.box_size, **fields},
+                  fh, indent=2)
+        fh.write("\n")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- enumerate
@@ -128,22 +125,29 @@ def _load_points_file(path: str):
     points, m = [], None
     with open(path) as fh:
         for line in fh:
-            line = line.split("#")[0].strip()
-            if not line:
+            tokens = line.split("#")[0].split()
+            if not tokens:
                 continue
-            tokens = line.split()
-            if tokens[0] == "m":
-                m = LatticePoint(int(tokens[1]), int(tokens[2]))
+            is_m = tokens[0] == "m"
+            if len(tokens) < 2 + is_m:
+                raise ValueError(f"{path}: expected 'x z' or 'm x z', got {line.strip()!r}")
+            p = LatticePoint(int(tokens[is_m]), int(tokens[is_m + 1]))
+            if is_m:
+                m = p
             else:
-                points.append(LatticePoint(int(tokens[0]), int(tokens[1])))
+                points.append(p)
     if m is None:
         raise ValueError(f"{path}: no interior point line ('m x z')")
-    return points, m
+    return point_configuration(points, m)
+
+
+def _check_enumerate(args) -> None:
+    args.configuration = _load_points_file(args.points) if args.points else None
 
 
 def cmd_enumerate(args) -> int:
-    if args.points:
-        points, m = _load_points_file(args.points)
+    if args.configuration:
+        points, m = args.configuration
         covers = enumerate_pure_covers(points, m)
         for c in covers:
             print(f"{c.id}: {canonical_key(c) if set(points) == set(hexagon_points()[0]) else c.simplices}")
@@ -171,33 +175,41 @@ def cmd_enumerate(args) -> int:
 # ------------------------------------------------------------------ certify
 
 
-def _parse_vector(text: str) -> list[float]:
-    return [float(t) for t in text.replace(",", " ").split()]
+def _check_certify(args) -> None:
+    """Parse the point and evaluate it; ValueError if a value that certify uses leaves float64.
+
+    a, b, the ten coefficients and c_m must be finite.  In case 4 every step
+    of the closed-form bounds must stay in float64 too; a coefficient that
+    rounds to 0 already fails cover 9's Theta sum there.
+    """
+    text = Path(args.file).read_text() if args.file else args.kappa or args.eta
+    if text is None:
+        raise ValueError("provide --kappa, --eta, or --file")
+    values = [float(t) for t in text.replace(",", " ").split()]
+    if len(values) == 12:
+        eta = reduce(KappaVector(tuple(values)))
+    elif len(values) == 8:
+        eta = EtaPoint(*values)
+    else:
+        raise ValueError(f"expected 12 or 8 positive reals, got {len(values)}")
+    sc = args.case = classify(eta)  # ValueError when a or b is NaN
+    try:  # a Python float power, exp or quotient raises when it leaves float64
+        poly = hex_coefficients(eta, require_case4=False)
+        if not all(map(math.isfinite, (sc.a_value, sc.b_value, *poly.coeffs.values(), poly.c_m))):
+            raise ValueError("a, b, the coefficients and c_m must be finite in float64")
+        if sc.tag is Case.CASE4_A_POS_B_NEG:
+            args.bounds = [closed_form_bound(cid, eta) for cid in CLOSED_FORM_IDS]
+    except ArithmeticError as exc:
+        raise ValueError(f"a value is beyond float64: {exc}") from None
+    if sc.tag is Case.CASE4_A_POS_B_NEG:
+        # a batch of one through the Monte-Carlo kernel, so verdicts match its hit masks bit for bit
+        with np.errstate(all="ignore"):  # a Theta sum beyond float64 prints as inf, unwarned
+            coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
+            args.thetas, args.neg_cm = _cover_evaluator().theta_sums(np.log(coeffs))[:, 0], -c_m[0]
 
 
 def cmd_certify(args) -> int:
-    try:
-        if args.file:
-            values = _parse_vector(Path(args.file).read_text())
-        elif args.kappa:
-            values = _parse_vector(args.kappa)
-        elif args.eta:
-            values = _parse_vector(args.eta)
-        else:
-            print("certify: provide --kappa, --eta, or --file", file=sys.stderr)
-            return EXIT_USAGE
-        if len(values) == 12:
-            eta = reduce(KappaVector(tuple(values)))
-        elif len(values) == 8:
-            eta = EtaPoint(*values)
-        else:
-            print(f"certify: expected 12 or 8 positive reals, got {len(values)}", file=sys.stderr)
-            return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"certify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    sc = classify(eta)
+    sc = args.case
     print(f"case: {sc.tag.name}  a={sc.a_value:.6g}  b={sc.b_value:.6g}")
     if sc.tag is Case.CASE1_MONOSTATIONARY:
         print("verdict: monostationary (all coefficients nonnegative)")
@@ -209,17 +221,13 @@ def cmd_certify(args) -> int:
         print("verdict: undetermined here (boundary case a = 0)")
         return EXIT_UNDETERMINED
 
-    # a batch of one through the Monte-Carlo kernel, so verdicts match its hit masks bit for bit
-    coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
-    thetas = _cover_evaluator().theta_sums(np.log(coeffs))[:, 0]
-    neg_cm = -c_m[0]
-    hits = thetas >= neg_cm
-    for cover, theta, hit in zip(all_covers(), thetas, hits):
-        print(f"CC({cover.id}): theta_sum={theta:.6g}  -c_m={neg_cm:.6g}  "
+    hits = args.thetas >= args.neg_cm
+    for cover, theta, hit in zip(all_covers(), args.thetas, hits):
+        print(f"CC({cover.id}): theta_sum={theta:.6g}  -c_m={args.neg_cm:.6g}  "
               f"{'CERTIFIED' if hit else 'not certified'}")
     print(f"union: {'CERTIFIED' if hits.any() else 'not certified'}")
-    for cid in (4, 9, 10, 12, 15):
-        print(f"bound CC({cid}): {closed_form_bound(cid, eta):.6g}  -b={-sc.b_value:.6g}")
+    for cid, bound in zip(CLOSED_FORM_IDS, args.bounds):
+        print(f"bound CC({cid}): {bound:.6g}  -b={-sc.b_value:.6g}")
     if hits.any():
         print("verdict: monostationary (certified by circuit cover)")
         return EXIT_OK
@@ -231,23 +239,21 @@ def cmd_certify(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    plan = args.plan
-    m = evaluate_covers(plan)
-    lines = _csv_header(plan, {"columns": "cover,hits,ratio"})
-    lines.append(f"sum,{m.union_count},{m.union_ratio:.5f}")
-    for cid in range(1, 17):
-        lines.append(f"CC({cid}),{m.counts[cid - 1]},{m.ratios[cid - 1]:.5f}")
-    obj = {
-        "build": BUILD_ID, "seed": plan.seed, "n": m.n, "box": plan.box_size,
+    m = evaluate_covers(args.plan)
+    rows = [f"sum,{m.union_count},{m.union_ratio:.5f}"]
+    rows += [f"CC({cid}),{m.counts[cid - 1]},{m.ratios[cid - 1]:.5f}" for cid in range(1, 17)]
+    return _report(args, "table1", m.n, {"columns": "cover,hits,ratio"}, rows, {
         "raw_draws": m.raw_draws,
         "union": {"hits": m.union_count, "ratio": round(m.union_ratio, 5)},
         "covers": [
             {"id": cid, "hits": int(m.counts[cid - 1]), "ratio": round(float(m.ratios[cid - 1]), 5)}
             for cid in range(1, 17)
         ],
-    }
-    _emit(args, lines, obj, "table1")
-    return EXIT_OK
+    })
+
+
+def _check_table2(args) -> None:
+    cover_fixture(args.baseline)  # ValueError unless the id is in 1..16
 
 
 def cmd_table2(args) -> int:
@@ -258,47 +264,31 @@ def cmd_table2(args) -> int:
     of cover 1 equals its full hit-ratio deficit), so that is the scale used
     here, printed with 2 decimals.
     """
-    plan = args.plan
-    m = evaluate_covers(plan)
+    m = evaluate_covers(args.plan)
     records = compare_vs_baseline(m, args.baseline)
-    lines = _csv_header(plan, {
-        "baseline": args.baseline,
-        "columns": "cover,plus,minus,zero,plus_count,minus_count,zero_count",
-        "scale": "ratios multiplied by 100",
-    })
-    for r in records:
-        lines.append(
-            f"CC({r.cover_id}),{r.plus / m.n * TABLE2_SCALE:.2f},{r.minus / m.n * TABLE2_SCALE:.2f},"
-            f"{r.zero / m.n * TABLE2_SCALE:.2f},{r.plus},{r.minus},{r.zero}"
-        )
-    obj = {
-        "build": BUILD_ID, "seed": plan.seed, "n": m.n, "box": plan.box_size,
+    scaled = [[count / m.n * TABLE2_SCALE for count in (r.plus, r.minus, r.zero)] for r in records]
+    rows = [f"CC({r.cover_id}),{plus:.2f},{minus:.2f},{zero:.2f},{r.plus},{r.minus},{r.zero}"
+            for r, (plus, minus, zero) in zip(records, scaled)]
+    header = {"baseline": args.baseline,
+              "columns": "cover,plus,minus,zero,plus_count,minus_count,zero_count",
+              "scale": "ratios multiplied by 100"}
+    return _report(args, "table2", m.n, header, rows, {
         "baseline": args.baseline,
         "covers": [
             {"id": r.cover_id,
-             "plus": round(r.plus / m.n * TABLE2_SCALE, 2),
-             "minus": round(r.minus / m.n * TABLE2_SCALE, 2),
-             "zero": round(r.zero / m.n * TABLE2_SCALE, 2),
+             "plus": round(plus, 2), "minus": round(minus, 2), "zero": round(zero, 2),
              "plus_count": r.plus, "minus_count": r.minus, "zero_count": r.zero}
-            for r in records
+            for r, (plus, minus, zero) in zip(records, scaled)
         ],
-    }
-    _emit(args, lines, obj, "table2")
-    return EXIT_OK
+    })
 
 
 def cmd_containment(args) -> int:
-    plan = args.plan
-    m = evaluate_covers(plan)
+    m = evaluate_covers(args.plan)
     rep = containment_analysis(m, threshold=args.threshold)
-    lines = _csv_header(plan, {"columns": "A,B,kind", "threshold": rep.threshold,
-                              "near_band": rep.near_band})
-    for a, b in rep.edges:
-        lines.append(f"{a},{b},contained")
-    for a, b in rep.near_edges:
-        lines.append(f"{a},{b},near")
-    obj = {
-        "build": BUILD_ID, "seed": plan.seed, "n": m.n, "box": plan.box_size,
+    rows = [f"{a},{b},contained" for a, b in rep.edges] + [f"{a},{b},near" for a, b in rep.near_edges]
+    header = {"columns": "A,B,kind", "threshold": rep.threshold, "near_band": rep.near_band}
+    return _report(args, "containment", m.n, header, rows, {
         "threshold": rep.threshold, "near_band": rep.near_band,
         "edges": [list(e) for e in rep.edges],
         "near_edges": [list(e) for e in rep.near_edges],
@@ -306,44 +296,35 @@ def cmd_containment(args) -> int:
         "hasse_edges": [list(e) for e in rep.hasse_edges],
         "unique_counts": {str(cid): int(rep.unique_counts[cid - 1]) for cid in range(1, 17)},
         "difference_matrix": rep.matrix.tolist(),
-    }
-    _emit(args, lines, obj, "containment")
-    return EXIT_OK
+    })
+
+
+def _check_homotopy(args) -> None:
+    ids = args.cover_ids = tuple(int(t) for t in args.covers.split(","))
+    if len(ids) not in (2, 3):
+        raise ValueError("need 2 or 3 cover ids")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"need distinct cover ids, got {args.covers}")
+    for cid in ids:
+        cover_fixture(cid)  # ValueError unless the id is in 1..16
+    if args.delta is None:
+        args.delta = 0.05 if len(ids) == 2 else 1 / 16
+    sweep_steps(args.delta)
 
 
 def cmd_homotopy(args) -> int:
-    try:
-        cover_ids = [int(t) for t in args.covers.split(",")]
-        if len(cover_ids) not in (2, 3):
-            raise ValueError("need 2 or 3 cover ids")
-        if len(set(cover_ids)) != len(cover_ids) or not set(cover_ids) <= set(range(1, 17)):
-            raise ValueError(f"need distinct cover ids in 1..16, got {args.covers}")
-        delta = args.delta if args.delta is not None else (0.05 if len(cover_ids) == 2 else 1 / 16)
-        sweep_steps(delta)  # reject a bad step before sampling
-    except ValueError as exc:
-        print(f"homotopy: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    plan = args.plan
-    m = evaluate_covers(plan, keep_theta=tuple(cover_ids))
-    if len(cover_ids) == 2:
-        curve = linear_homotopy(m, *cover_ids, dt=delta)
-        lines = _csv_header(plan, {"covers": args.covers, "delta": f"{delta:g}",
-                                   "columns": "t,ratio"})
-        for (t,), r in zip(curve.grid, curve.ratios):
-            lines.append(f"{t:.6g},{r:.5f}")
+    ids, delta = args.cover_ids, args.delta
+    m = evaluate_covers(args.plan, keep_theta=ids)
+    if len(ids) == 2:
+        curve, columns = linear_homotopy(m, *ids, dt=delta), "t,ratio"
     else:
-        curve = simplicial_homotopy(m, *cover_ids, delta=delta)
-        lines = _csv_header(plan, {"covers": args.covers, "delta": f"{delta:g}",
-                                   "columns": "s,t,ratio"})
-        for (s, t), r in zip(curve.grid, curve.ratios):
-            lines.append(f"{s:.6g},{t:.6g},{r:.5f}")
-    obj = {
-        "build": BUILD_ID, "seed": plan.seed, "n": m.n, "box": plan.box_size,
-        "covers": cover_ids, "delta": delta,
+        curve, columns = simplicial_homotopy(m, *ids, delta=delta), "s,t,ratio"
+    rows = ["".join(f"{x:.6g}," for x in g) + f"{r:.5f}" for g, r in zip(curve.grid, curve.ratios)]
+    header = {"covers": args.covers, "delta": f"{delta:g}", "columns": columns}
+    return _report(args, "homotopy", m.n, header, rows, {
+        "covers": list(ids), "delta": delta,
         "points": [list(g) + [round(r, 5)] for g, r in zip(curve.grid, curve.ratios)],
-    }
-    _emit(args, lines, obj, "homotopy")
-    return EXIT_OK
+    })
 
 
 # ----------------------------------------------------------------- selftest
@@ -421,36 +402,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate pure covers")
     p.add_argument("--points", default=None, help="custom point file ('x z' lines plus 'm x z')")
     p.add_argument("--check-census", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, check=_check_enumerate)
 
     p = sub.add_parser("certify", help="certify one parameter point")
     p.add_argument("--kappa", default=None, help="12 comma-separated rate constants")
     p.add_argument("--eta", default=None, help="8 comma-separated reduced parameters")
     p.add_argument("--file", default=None, help="file with 12 or 8 positive reals")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_certify, check=_check_certify)
 
     for name, func in (("table1", cmd_table1), ("containment", cmd_containment)):
         p = sub.add_parser(name)
         _add_plan_flags(p)
         if name == "containment":
             p.add_argument("--threshold", type=int, default=0)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, check=None)
 
     p = sub.add_parser("table2")
     _add_plan_flags(p)
     p.add_argument("--baseline", type=int, default=9)
-    p.set_defaults(func=cmd_table2)
+    p.set_defaults(func=cmd_table2, check=_check_table2)
 
     p = sub.add_parser("homotopy")
     _add_plan_flags(p)
     p.add_argument("--covers", required=True, help="2 or 3 comma-separated cover ids")
     p.add_argument("--delta", type=float, default=None,
                    help=f"grid step dividing 1 into at most {MAX_SWEEP_STEPS} steps")
-    p.set_defaults(func=cmd_homotopy)
+    p.set_defaults(func=cmd_homotopy, check=_check_homotopy)
 
     p = sub.add_parser("selftest")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, check=None)
     return parser
 
 
@@ -462,12 +443,14 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if hasattr(args, "seed"):  # experiment commands
-        try:
+    try:  # every input is checked here, before any sampling or output
+        if hasattr(args, "seed"):  # experiment commands
             args.plan = _plan_from_args(args)
-        except (ValueError, OSError) as exc:
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        if args.check is not None:
+            args.check(args)
+    except (ValueError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

@@ -34,7 +34,17 @@ def _valid_simplex(points: tuple[LatticePoint, ...], m: LatticePoint) -> Simplex
     return s if contains_in_relative_interior(s, m) else None
 
 
-def enumerate_pure_covers(points, m, _assign_ids: bool = True) -> list[PureCover]:
+def point_configuration(points, m) -> tuple[list[LatticePoint], LatticePoint]:
+    """``points`` and ``m`` as lattice points; ValueError unless distinct and without m."""
+    points, m = [LatticePoint(*p) for p in points], LatticePoint(*m)
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
+    if m in points:
+        raise ValueError("interior point must not be among the positive points")
+    return points, m
+
+
+def enumerate_pure_covers(points, m) -> list[PureCover]:
     """All partitions of ``points`` into m-containing simplices of size 2 or 3.
 
     Brute force with early pruning: the lexicographically smallest uncovered
@@ -42,11 +52,7 @@ def enumerate_pure_covers(points, m, _assign_ids: bool = True) -> list[PureCover
     contain ``m``.  Output is sorted by canonical key; the hexagon instance
     additionally receives the fixture ids.
     """
-    points = [LatticePoint(*p) for p in points]
-    if len(set(points)) != len(points):
-        raise ValueError("points must be pairwise distinct")
-    if m in points:
-        raise ValueError("interior point must not be among the positive points")
+    points, m = point_configuration(points, m)
 
     covers: list[tuple[Simplex, ...]] = []
 
@@ -66,7 +72,7 @@ def enumerate_pure_covers(points, m, _assign_ids: bool = True) -> list[PureCover
     recurse(tuple(sorted(points)), ())
 
     hexagon = set(points) == set(HEXAGON_POSITIVE) and m == M
-    id_map = {key: i for i, key in fixture_keys().items()} if hexagon and _assign_ids else {}
+    id_map = {key: i for i, key in fixture_keys().items()} if hexagon else {}
     result = []
     for i, blocks in enumerate(covers):
         key = _key_of_blocks(blocks, points)

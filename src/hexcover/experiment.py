@@ -26,9 +26,9 @@ from typing import Iterator
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .covers import all_covers
+from .covers import all_covers, cover_fixture
 from .geometry import HEXAGON_POSITIVE, M, POINT_INDEX
-from .model import _raw_hex_coefficients, _reduced, ab_values
+from .model import EtaPoint, _raw_hex_coefficients, _reduced, ab_values, is_case4
 from .circuits import _compiled_simplex
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
@@ -97,7 +97,7 @@ def classified_block(seed: int, block: int, box_size: float, case: str):
     eta = np.stack(_reduced(kappa))
     a, b = ab_values(eta)
     if case == "case4":
-        mask = (a > 0) & (b < 0)
+        mask = is_case4(a, b)
     elif case == "case2":
         mask = a < 0
     else:
@@ -174,7 +174,6 @@ class CoverHitMatrix:
     plan: SamplePlan
     theta: dict[int, np.ndarray] = field(default_factory=dict)
     c_m: np.ndarray | None = None
-    eta: np.ndarray | None = None
     masks: np.ndarray = field(init=False)
     mask_counts: np.ndarray = field(init=False)
 
@@ -208,15 +207,14 @@ class CoverHitMatrix:
         return self.union_count / self.n
 
 
-def evaluate_covers(plan: SamplePlan, keep_theta=(), keep_eta: bool = False) -> CoverHitMatrix:
+def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
     """Run the sampling plan and test every cover's certificate per sample."""
     evaluator = CoverEvaluator()
     keep_theta = tuple(dict.fromkeys(keep_theta))
-    if not set(keep_theta) <= set(range(1, 17)):
-        raise ValueError(f"cover ids must be in 1..16, got {keep_theta}")
-    hit_chunks, theta_chunks = [], {cid: [] for cid in keep_theta}
-    cm_chunks, eta_chunks = [], []
-    for eta, coeffs, c_m in sample_case4(plan):
+    for cid in keep_theta:
+        cover_fixture(cid)  # ValueError unless the id is in 1..16
+    hit_chunks, theta_chunks, cm_chunks = [], {cid: [] for cid in keep_theta}, []
+    for _, coeffs, c_m in sample_case4(plan):
         theta = evaluator.theta_sums(np.log(coeffs))
         hits = (theta >= -c_m).astype(np.uint16)
         mask = np.zeros(c_m.size, dtype=np.uint16)
@@ -227,15 +225,12 @@ def evaluate_covers(plan: SamplePlan, keep_theta=(), keep_eta: bool = False) -> 
             theta_chunks[cid].append(theta[cid - 1].copy())
         if keep_theta:
             cm_chunks.append(c_m)
-        if keep_eta:
-            eta_chunks.append(eta)
     return CoverHitMatrix(
         hits=np.concatenate(hit_chunks),
         raw_draws=len(hit_chunks) * RAW_BLOCK,
         plan=plan,
         theta={cid: np.concatenate(cs) for cid, cs in theta_chunks.items()},
         c_m=np.concatenate(cm_chunks) if keep_theta else None,
-        eta=np.concatenate(eta_chunks, axis=1) if keep_eta else None,
     )
 
 
@@ -244,21 +239,19 @@ class ComparisonRecord:
     """Per-cover hit bookkeeping against a baseline cover."""
 
     cover_id: int
-    versus: int
     plus: int    # certified by cover but not by baseline
     minus: int   # certified by baseline but not by cover
     zero: int    # certified by neither
 
 
 def compare_vs_baseline(matrix: CoverHitMatrix, baseline: int = 9) -> list[ComparisonRecord]:
-    if not 1 <= baseline <= 16:
-        raise ValueError(f"baseline cover id out of range: {baseline}")
+    cover_fixture(baseline)  # ValueError unless the id is in 1..16
     bits = matrix.mask_bits.astype(bool)
     base = bits[:, [baseline - 1]]
     weights = matrix.mask_counts
     plus, minus, zero = (weights @ (bits & ~base), weights @ (base & ~bits),
                          weights @ ~(bits | base))
-    return [ComparisonRecord(cover_id=cid, versus=baseline, plus=int(plus[cid - 1]),
+    return [ComparisonRecord(cover_id=cid, plus=int(plus[cid - 1]),
                              minus=int(minus[cid - 1]), zero=int(zero[cid - 1]))
             for cid in range(1, 17)]
 
@@ -430,8 +423,6 @@ def simplicial_homotopy(matrix: CoverHitMatrix, a: int, b: int, c: int,
 
 def case4_eta_points(n: int, seed: int = 0, box_size: float = 1.0):
     """The first n accepted case-4 samples of a stream, as EtaPoint objects."""
-    from .model import EtaPoint
-
     plan = SamplePlan(box_size=box_size, target_case4_samples=n, seed=seed)
     points = []
     for eta, _, _ in sample_case4(plan):

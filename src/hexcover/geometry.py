@@ -63,10 +63,6 @@ class Simplex:
         if len(verts) == 3 and _signed_area2(*verts) == 0:
             raise DegenerateSimplexError(f"collinear vertices {verts}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
     def __iter__(self):
         return iter(self.vertices)
 
@@ -87,10 +83,6 @@ class Barycentrics:
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(l) for l in self.lambdas)
-
-    @property
-    def strictly_interior(self) -> bool:
-        return all(0 < l < 1 for l in self.lambdas)
 
 
 def barycentric_coordinates(s: Simplex, p: LatticePoint) -> Barycentrics | None:

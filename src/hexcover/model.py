@@ -34,10 +34,6 @@ class KappaVector:
         if not all(v > 0 for v in self.k):
             raise ValueError("all rate constants must be strictly positive")
 
-    def __getitem__(self, i: int) -> float:
-        """1-based access matching the conventional numbering kappa_1..kappa_12."""
-        return self.k[i - 1]
-
 
 @dataclass(frozen=True)
 class EtaPoint:
@@ -107,17 +103,27 @@ class SignCase:
     b_value: float
 
 
+def is_case4(a, b):
+    """The case-4 rule a > 0 and b < 0, on floats or arrays alike; NaN is never case 4."""
+    return (a > 0) & (b < 0)
+
+
 def classify(eta: EtaPoint) -> SignCase:
-    """Sign-exact case split on (a, b); no epsilon, exact comparison to zero."""
+    """Sign-exact case split on (a, b); no epsilon, exact comparison to zero.
+
+    Raises ValueError when a or b is NaN, which no case describes.
+    """
     a, b = ab_values(eta)
-    if a < 0:
-        tag = Case.CASE2_MULTISTATIONARY
-    elif a >= 0 and b >= 0:
-        tag = Case.CASE1_MONOSTATIONARY
-    elif a == 0:
-        tag = Case.CASE3_A_ZERO_B_NEG
-    else:
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError(f"a and b must not be NaN, got a={a}, b={b}")
+    if is_case4(a, b):
         tag = Case.CASE4_A_POS_B_NEG
+    elif a < 0:
+        tag = Case.CASE2_MULTISTATIONARY
+    elif b >= 0:
+        tag = Case.CASE1_MONOSTATIONARY
+    else:
+        tag = Case.CASE3_A_ZERO_B_NEG
     return SignCase(tag, a, b)
 
 
@@ -221,7 +227,7 @@ def closed_form_bound(cover_id: int, eta: EtaPoint) -> float:
     """
     K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
     a, b = ab_values(eta)
-    if not (a > 0 and b < 0):
+    if not is_case4(a, b):
         raise ValueError("closed-form bounds require case 4 (a > 0, b < 0)")
     x = k3 * k6**2 * k9**2 * k12  # shared radicand of the mixed-row segments
     if cover_id == 15:

@@ -13,6 +13,7 @@ import pytest
 from hexcover.circuits import CircuitSupport, circuit_number, cover_theta_sum, optimize_scalar_weight
 from hexcover.covers import census, cover_fixture, enumerate_pure_covers
 from hexcover.experiment import (
+    CoverEvaluator,
     SamplePlan,
     binomial_sigma,
     case4_eta_points,
@@ -191,9 +192,11 @@ def _grid_extrema(coeffs, c_m, grid_pts=100):
 def test_criterion_09_soundness():
     n = 10_000
     plan = SamplePlan(target_case4_samples=n + 2000, seed=SEED + 2)
-    run = evaluate_covers(plan, keep_theta=(), keep_eta=True)
-    certified = run.hits != 0
-    eta = run.eta[:, certified][:, :n]
+    evaluator = CoverEvaluator()
+    certified = []  # samples certified by at least one cover, as in the hit masks
+    for eta, coeffs, c_m in sample_case4(plan):
+        certified.append(eta[:, (evaluator.theta_sums(np.log(coeffs)) >= -c_m).any(axis=0)])
+    eta = np.concatenate(certified, axis=1)[:, :n]
     coeffs, c_m = hex_coefficient_arrays(eta, *ab_values(eta))
     worst = 1.0
     for lo in range(0, n, 500):

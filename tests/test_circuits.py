@@ -15,7 +15,6 @@ from hexcover.circuits import (
     cover_theta_sum,
     is_nonnegative,
     optimize_scalar_weight,
-    scalar_weighted_cover,
     weighted_theta_sum,
 )
 from hexcover.covers import cover_fixture
@@ -115,9 +114,15 @@ def test_cover_theta_sum_rejects_nonpositive():
 # ---------------------------------------------------------- weighted covers
 
 
+def scalar_weights(covers, ts):
+    """The WeightedCover giving cover i the weight ts[i] at every one of its points."""
+    return WeightedCover(tuple(covers), {(i, v): t for i, (cover, t) in enumerate(zip(covers, ts))
+                                         for s in cover.simplices for v in s.vertices})
+
+
 def test_weighted_degenerate_equals_pure(rng):
     cover = cover_fixture(9)
-    w = scalar_weighted_cover([cover], [1.0])
+    w = scalar_weights([cover], [1.0])
     coeffs = {p: float(c) for p, c in zip(HEXAGON_POSITIVE, rng.uniform(0.1, 10.0, 10))}
     assert math.isclose(weighted_theta_sum(w, coeffs), cover_theta_sum(cover, coeffs),
                         rel_tol=1e-12)
@@ -127,7 +132,7 @@ def test_weighted_degenerate_equals_pure(rng):
 def test_scalar_weighting_is_linear_combination(t):
     covers = [cover_fixture(4), cover_fixture(9)]
     coeffs = {p: 1.0 + 0.1 * i for i, p in enumerate(HEXAGON_POSITIVE)}
-    w = scalar_weighted_cover(covers, [1.0 - t, t])
+    w = scalar_weights(covers, [1.0 - t, t])
     expected = (1.0 - t) * cover_theta_sum(covers[0], coeffs) + t * cover_theta_sum(covers[1], coeffs)
     assert math.isclose(weighted_theta_sum(w, coeffs), expected, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -135,7 +140,7 @@ def test_scalar_weighting_is_linear_combination(t):
 def test_weight_invariant_violation_raises():
     cover = cover_fixture(9)
     with pytest.raises(ValueError):
-        scalar_weighted_cover([cover, cover], [0.5, 0.6])
+        scalar_weights([cover, cover], [0.5, 0.6])
     with pytest.raises(ValueError):
         WeightedCover((cover,), {(0, LatticePoint(0, 0)): -0.5, (0, LatticePoint(2, 0)): 1.0})
 

@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, report formats, and configuration precedence."""
 
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hexcover.cli import EXIT_MULTISTATIONARY, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE, main
 from hexcover.experiment import CoverEvaluator, SamplePlan, sample_case4
@@ -72,6 +76,24 @@ def test_certify_from_file(tmp_path, capsys):
     f = tmp_path / "kappa.txt"
     f.write_text(" ".join(["1"] * 12))
     assert run(capsys, "certify", "--file", str(f))[0] == EXIT_OK
+
+
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e300) | st.sampled_from([math.inf, math.nan]),
+                min_size=8, max_size=8))
+@example([1, 1, 1, 1, 1e200, 1e200, 1e200, 1e200])  # a and b are NaN
+@example([5e300, 1, 1, 5e300, 2, 1, 1, 1])  # K1**3 overflows a Python float
+@example([3.3e46, 3.5e3, 2.8e-46, 2.2e199, 3.1e-113, 4e-36, 2.5e7, 3.3e144])  # only a bound overflows
+@example([8.71e-263, 2.94e-285, 3.93e-101, 7.13e294, 1.71e136, 4.35e-44, 4.27e-181, 8.5e-228])  # a1 -> 0
+@settings(max_examples=300, deadline=None)
+def test_certify_eta_always_ends_in_an_exit_code(eta):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["certify", "--eta", ",".join(repr(float(v)) for v in eta)])
+    assert code in (EXIT_OK, EXIT_UNDETERMINED, EXIT_MULTISTATIONARY, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == "" and len(err.getvalue().strip().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_certify_matches_batch_verdicts(capsys):
@@ -155,6 +177,30 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
 
     monkeypatch.setattr(cli, "evaluate_covers", no_sampling)
     code, out, err = run(capsys, "homotopy", "--covers", "4,9,15", flag, value)  # last flag wins
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--baseline", "0"], ["table2", "--baseline", "17"],
+    ["enumerate", "--points", "{tmp}/missing.txt"], ["enumerate", "--points", "{tmp}/no_m.txt"],
+    ["enumerate", "--points", "{tmp}/short_line.txt"], ["enumerate", "--points", "{tmp}/repeated.txt"],
+    ["certify", "--eta", "1,1,1,1,1e200,1e200,1e200,1e200"],
+    ["certify", "--kappa", "1,1,1,1,1,1,1,1,1,1,1,inf"],
+    ["certify", "--eta", "5e300,1,1,5e300,2,1,1,1"],
+], ids=" ".join)
+def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    import hexcover.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("bad input must be rejected before any work")
+
+    monkeypatch.setattr(cli, "evaluate_covers", no_work)
+    monkeypatch.setattr(cli, "enumerate_pure_covers", no_work)
+    (tmp_path / "no_m.txt").write_text("4 2\n2 0\n")
+    (tmp_path / "short_line.txt").write_text("4 2\n2\nm 2 1\n")
+    (tmp_path / "repeated.txt").write_text("4 2\n4 2\nm 2 1\n")
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1
 

@@ -1,5 +1,6 @@
 """Parameter reduction, sign cases, coefficient map, and closed-form bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from hexcover.circuits import cover_theta_sum
 from hexcover.covers import cover_fixture
-from hexcover.experiment import case4_eta_points, classified_block, hex_coefficient_arrays
+from hexcover import experiment, model
+from hexcover.experiment import RAW_BLOCK, case4_eta_points, classified_block, hex_coefficient_arrays
 from hexcover.geometry import A2, A4, A6, M
 from hexcover.model import (
     Case,
@@ -76,6 +78,37 @@ def test_classify_examples():
     # k6*k9 > k3*k12 forces a < 0
     assert classify(EtaPoint(1, 1, 1, 1, 1, 2, 2, 1)).tag is Case.CASE2_MULTISTATIONARY
     assert classify(EtaPoint(5, 1, 1, 5, 2, 1, 1, 1)).tag is Case.CASE4_A_POS_B_NEG
+
+
+def test_classify_rejects_nan():
+    with pytest.raises(ValueError):
+        classify(EtaPoint(1, 1, 1, 1, math.inf, math.inf, 1, 1))  # a = inf - inf
+
+
+def test_case4_rule_never_holds_for_nan(monkeypatch):
+    # every (a, b) over +-0, +-1, +-inf and NaN, fed to the three users of the case-4 rule
+    values = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan)
+    pairs = list(itertools.product(values, values))
+    eta = EtaPoint(*(2.0,) * 8)  # stands in for any point: a and b come from the patch
+    for a, b in pairs:
+        monkeypatch.setattr(model, "ab_values", lambda _: (a, b))
+        case4 = a > 0 and b < 0
+        if math.isnan(a) or math.isnan(b):
+            with pytest.raises(ValueError):
+                classify(eta)
+        else:
+            assert (classify(eta).tag is Case.CASE4_A_POS_B_NEG) == case4
+        if case4:
+            closed_form_bound(15, eta)
+        else:
+            with pytest.raises(ValueError):
+                closed_form_bound(15, eta)
+
+    tiled_a, tiled_b = (np.resize([p[i] for p in pairs], RAW_BLOCK) for i in (0, 1))
+    monkeypatch.setattr(experiment, "ab_values", lambda eta: (tiled_a, tiled_b))
+    _, a, b = classified_block(1, 0, 1.0, "case4")
+    assert not (np.isnan(a).any() or np.isnan(b).any())
+    assert a.size == np.count_nonzero([x > 0 and y < 0 for x, y in zip(tiled_a, tiled_b)])
 
 
 def test_case4_inequality_chain():
