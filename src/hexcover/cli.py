@@ -129,7 +129,7 @@ def _load_points_file(path: str):
             if not tokens:
                 continue
             is_m = tokens[0] == "m"
-            if len(tokens) < 2 + is_m:
+            if len(tokens) != 2 + is_m:
                 raise ValueError(f"{path}: expected 'x z' or 'm x z', got {line.strip()!r}")
             p = LatticePoint(int(tokens[is_m]), int(tokens[is_m + 1]))
             if is_m:
@@ -446,6 +446,9 @@ def main(argv=None) -> int:
     try:  # every input is checked here, before any sampling or output
         if hasattr(args, "seed"):  # experiment commands
             args.plan = _plan_from_args(args)
+            out_dir = os.path.dirname(args.out or "") or "."
+            if not os.path.isdir(out_dir):  # checked now, not after the run
+                raise FileNotFoundError(f"--out: directory {out_dir!r} does not exist")
         if args.check is not None:
             args.check(args)
     except (ValueError, OSError) as exc:

@@ -2,15 +2,16 @@
 
 Rate constants are drawn uniformly from (0, N]^12, reduced to eta, and kept
 when they land in case 4 (a > 0, b < 0).  Each accepted sample is tested
-against every cover's certificate Theta-sum >= -c_m and stored as a 16-bit
-hit mask.  Ratios, the baseline comparison and the containment poset depend
-only on how often each mask occurs, so they are computed from the histogram
-of the masks; homotopies reuse retained per-sample Theta sums.
+against every cover's certificate Theta-sum >= -c_m, giving a 16-bit hit
+mask.  Ratios, the baseline comparison and the containment poset depend
+only on how often each mask occurs, so a run keeps only the histogram of
+the masks; homotopies reuse retained per-sample Theta sums.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block
-index) over fixed-size raw blocks.  One generator yields the accepted blocks
-in counter order and truncates only the last one, so parallel and serial
-runs emit the same sample sequence bit for bit.
+index) over fixed-size raw blocks.  A raw block is the unit of work: a
+*block task* draws it and runs every per-sample step on it, and one runner
+yields the tasks' results in counter order and truncates only the last, so
+parallel and serial runs emit the same sample sequence bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of thread
 LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
 MAX_THREADS = 64  # most worker threads a plan may ask for
 MAX_SWEEP_STEPS = 1000  # most grid steps per side of a homotopy sweep
+BOX_RANGE = (2.0**-99, 2.0**150)  # box sizes whose case-4 values stay normal; see SamplePlan
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,33 @@ class SamplePlan:
     ``threads`` (1 to ``MAX_THREADS``) sets how many worker threads draw
     blocks; it never changes the sample stream, which depends only on the seed
     and the box size.
+
+    ``box_size`` N must lie in ``BOX_RANGE`` = [2^-99, 2^150].  There no draw
+    can push a, b, a coefficient or c_m, nor any left-to-right product that
+    computes them, out of the normal float64 range [2^-1022, 2^1024).  With
+    u = 2^-53:
+
+    - Each k = N*(1-U) lies in [N*u, N], because 1-U lies in [u, 1].  Each
+      K = (k_b + k_c)/k_a lies in [2^-52, 2^54] for every N, and each sum
+      K1+K4 or K2+K3 in [2^-51, 2^55].
+    - a = k3*k12 - k6*k9 > 0 is a difference of two floats, so it is at least
+      one ulp of the smaller, and an ulp of y exceeds u*y: a lies in
+      [u*k6*k9, k3*k12].  Likewise |b| lies in [u*(K2+K3)*k3*k12,
+      (K1+K4)*k6*k9] when b < 0.  So a and b each carry a *cancellation
+      factor* in [u, 1].
+    - Every one of these values is a product of at most five k's (each
+      coefficient and c_m is homogeneous of degree 5 in N) and of K-factors:
+      K's, K sums, the constant 2 and a cancellation factor.  The K-factors
+      of any value multiply to within [2^-260, 2^270].  The extremes are K^5
+      in A1, A2 and B1, and (K2+K3)*K1*K2*K3*u = 2^-51 * 2^-156 * 2^-53 in c_m.
+    - A partial product takes a subset of these factors, so it is at least
+      the product of min(1, lower bound) over all of them and at most the
+      product of max(1, upper bound).  Every partial product thus lies in
+      [2^-260 * min(1, N*u)^5, 2^270 * max(1, N)^5].
+
+    At N = 2^-99 the lower end is 2^-1020 and at N = 2^150 the upper end is
+    2^1020.  Both lie at least a factor 4 inside the normal range, far more
+    than the (1 +- u)^15 drift of the roundings in any one value.
     """
 
     box_size: float = 1.0
@@ -54,8 +83,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.target_case4_samples < 1:
             raise ValueError("target_case4_samples must be >= 1")
-        if not (math.isfinite(self.box_size) and self.box_size > 0):
-            raise ValueError(f"box_size must be positive and finite, got {self.box_size}")
+        if not BOX_RANGE[0] <= self.box_size <= BOX_RANGE[1]:
+            raise ValueError(f"box_size must be in [2**-99, 2**150], got {self.box_size}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 1 <= self.threads <= MAX_THREADS:
@@ -111,13 +140,14 @@ def hex_coefficient_arrays(eta: np.ndarray, a: np.ndarray, b: np.ndarray):
     return np.stack([cmap[p] for p in HEXAGON_POSITIVE]), c_m
 
 
-def _accepted_blocks(plan: SamplePlan, case: str):
-    """(eta, a, b) of raw blocks 0, 1, 2, ... until the plan's target is reached.
+def _accepted_blocks(plan: SamplePlan, task):
+    """``task(block)`` for raw blocks 0, 1, 2, ... until the plan's target is reached.
 
-    Yields exactly one item per raw block drawn, so the caller can count raw
-    draws; only the final block is truncated, so exactly
-    ``target_case4_samples`` samples come out.  With several threads, blocks
-    are drawn ahead (one per thread until the first returns, then at most
+    A task returns a raw block's accepted samples as arrays, samples on the
+    last axis; one item per raw block, so callers can count raw draws.  Only
+    the last is truncated, to exactly ``target_case4_samples`` samples.  One
+    thread runs tasks inline; a pool starts them ahead (one per thread until
+    the first returns, then at most
     ``LOOKAHEAD_PER_THREAD`` per thread) only while those in flight, at the
     acceptance seen so far, fall short of the samples still needed; any not
     yet started when the stream closes are cancelled.
@@ -128,23 +158,28 @@ def _accepted_blocks(plan: SamplePlan, case: str):
     try:
         for block in count():
             if pool is None:
-                eta, a, b = classified_block(plan.seed, block, plan.box_size, case)
+                item = task(block)
             else:
                 accepted = plan.target_case4_samples - remaining
                 while len(ahead) < LOOKAHEAD_PER_THREAD * plan.threads and (
                         len(ahead) * accepted < remaining * block if block
                         else len(ahead) < plan.threads):
-                    ahead.append(pool.submit(classified_block, plan.seed, block + len(ahead),
-                                             plan.box_size, case))
-                eta, a, b = ahead.popleft().result()
-            if eta.shape[1] >= remaining:
-                yield eta[:, :remaining], a[:remaining], b[:remaining]
+                    ahead.append(pool.submit(task, block + len(ahead)))
+                item = ahead.popleft().result()
+            if item[0].shape[-1] >= remaining:
+                yield tuple(x[..., :remaining] for x in item)
                 return
-            remaining -= eta.shape[1]
-            yield eta, a, b
+            remaining -= item[0].shape[-1]
+            yield item
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+def _sample_block(plan: SamplePlan, case: str, block: int):
+    """``sample_case4``'s block task: (eta, coeffs, c_m) of one raw block's accepted samples."""
+    eta, a, b = classified_block(plan.seed, block, plan.box_size, case)
+    return (eta, *hex_coefficient_arrays(eta, a, b))
 
 
 def sample_case4(plan: SamplePlan, case: str = "case4") -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -153,36 +188,30 @@ def sample_case4(plan: SamplePlan, case: str = "case4") -> Iterator[tuple[np.nda
     Fully deterministic in ``plan.seed``: blocks come in counter order and
     exactly ``target_case4_samples`` samples are emitted in total.
     """
-    for eta, a, b in _accepted_blocks(plan, case):
-        yield (eta, *hex_coefficient_arrays(eta, a, b))
+    return _accepted_blocks(plan, functools.partial(_sample_block, plan, case))
 
 
 @dataclass
 class CoverHitMatrix:
-    """Per-sample certificate hits for all 16 covers and their histogram.
+    """The histogram of a run's hit masks (bit i-1 set iff cover i certified a sample).
 
-    ``hits`` holds one uint16 bitmask per sample (bit i-1 set iff cover i
-    certified the sample).  ``masks`` lists the distinct masks in ascending
-    order and ``mask_counts`` how often each occurs; every joint count is
-    computed from these two.  ``theta`` retains per-sample Theta sums for the
-    covers in ``keep_theta``, and ``c_m`` the per-sample c_m when any are
-    kept, so homotopies can reuse the same stream.
+    ``masks`` lists the distinct masks in ascending order and ``mask_counts``
+    how often each occurs; every joint count is computed from these two.
+    ``theta`` retains per-sample Theta sums for the covers in ``keep_theta``,
+    and ``c_m`` the per-sample c_m when any are kept, so homotopies can reuse
+    the same stream.
     """
 
-    hits: np.ndarray
+    masks: np.ndarray
+    mask_counts: np.ndarray
     raw_draws: int
     plan: SamplePlan
     theta: dict[int, np.ndarray] = field(default_factory=dict)
     c_m: np.ndarray | None = None
-    masks: np.ndarray = field(init=False)
-    mask_counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.masks, self.mask_counts = np.unique(self.hits, return_counts=True)
 
     @property
     def n(self) -> int:
-        return len(self.hits)
+        return int(self.mask_counts.sum())
 
     @property
     def mask_bits(self) -> np.ndarray:
@@ -208,28 +237,30 @@ class CoverHitMatrix:
 
 
 def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
-    """Run the sampling plan and test every cover's certificate per sample."""
+    """Run the sampling plan; each block's task computes its hit masks, the consumer counts them."""
     evaluator = CoverEvaluator()
     keep_theta = tuple(dict.fromkeys(keep_theta))
-    for cid in keep_theta:
-        cover_fixture(cid)  # ValueError unless the id is in 1..16
-    hit_chunks, theta_chunks, cm_chunks = [], {cid: [] for cid in keep_theta}, []
-    for _, coeffs, c_m in sample_case4(plan):
+    rows = [cover_fixture(cid).id - 1 for cid in keep_theta]  # ValueError unless in 1..16
+
+    def task(block):
+        _, coeffs, c_m = _sample_block(plan, "case4", block)
+        for values in (coeffs, c_m):  # never for a box in BOX_RANGE, see SamplePlan
+            if not (np.isfinite(values).all() and values.all()):
+                raise FloatingPointError(f"raw block {block}: a coefficient or c_m is 0 or not finite")
         theta = evaluator.theta_sums(np.log(coeffs))
-        hits = (theta >= -c_m).astype(np.uint16)
-        mask = np.zeros(c_m.size, dtype=np.uint16)
-        for i in range(16):
-            mask |= hits[i] << np.uint16(i)
-        hit_chunks.append(mask)
-        for cid in keep_theta:
-            theta_chunks[cid].append(theta[cid - 1].copy())
+        return (1 << np.arange(16)) @ (theta >= -c_m), theta[rows], c_m
+    histogram, theta_chunks, cm_chunks = np.zeros(1 << 16, dtype=np.int64), [], []
+    for blocks, (mask, theta, c_m) in enumerate(_accepted_blocks(plan, task), 1):
+        histogram += np.bincount(mask, minlength=1 << 16)
         if keep_theta:
+            theta_chunks.append(theta)
             cm_chunks.append(c_m)
     return CoverHitMatrix(
-        hits=np.concatenate(hit_chunks),
-        raw_draws=len(hit_chunks) * RAW_BLOCK,
+        masks=np.flatnonzero(histogram),
+        mask_counts=histogram[histogram != 0],
+        raw_draws=blocks * RAW_BLOCK,
         plan=plan,
-        theta={cid: np.concatenate(cs) for cid, cs in theta_chunks.items()},
+        theta=dict(zip(keep_theta, np.concatenate(theta_chunks, axis=1))) if keep_theta else {},
         c_m=np.concatenate(cm_chunks) if keep_theta else None,
     )
 

@@ -4,13 +4,14 @@ import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hexcover.cli import EXIT_MULTISTATIONARY, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE, main
-from hexcover.experiment import CoverEvaluator, SamplePlan, sample_case4
+from hexcover.experiment import CoverEvaluator, SamplePlan, evaluate_covers, sample_case4
 
 N_SMALL = ["--n", "5000"]
 
@@ -94,6 +95,94 @@ def test_certify_eta_always_ends_in_an_exit_code(eta):
         assert out.getvalue() == "" and len(err.getvalue().strip().splitlines()) == 1
     else:
         assert err.getvalue() == ""
+
+
+_FLOAT_LISTS = st.lists(st.floats(min_value=1e-300, max_value=1e300)
+                        | st.sampled_from([0.0, -1.0, math.inf, math.nan]),
+                        min_size=7, max_size=13).map(lambda vs: ",".join(map(repr, vs)))
+_PLAN_FLAGS = {
+    "--n": ["1", "2000", "0", "-3", "1e3", "x"],
+    "--box": ["1", "0.1", "1e-100", "1e-200", "1e200", repr(2.0**-99), repr(2.0**150),
+              repr(math.nextafter(2.0**150, math.inf)), "0", "-1", "nan", "inf", "x"],
+    "--seed": ["0", "42", "-1", str(2**64 - 1), str(2**64), "x"],
+    "--threads": ["1", "2", "64", "65", "0", "1000000", "x"],
+    "--config": ["{d}/conf.txt", "{d}/bad_conf.txt", "{d}/tiny_box.txt", "{d}/missing.txt"],
+    "--out": ["{d}/out_", "{d}/", "{d}/missing/out_"],
+}
+_FLAGS = {  # every subcommand and flag; None marks a flag that takes no value
+    "enumerate": {"--check-census": None,
+                  "--points": ["{d}/no_cover.txt", "{d}/extra.txt", "{d}/short.txt", "{d}/no_m.txt",
+                               "{d}/not_int.txt", "{d}/repeated.txt", "{d}/missing.txt"]},
+    "certify": {"--kappa": st.sampled_from([",".join(["1"] * 12), "1,2,3", "a,b", ""]) | _FLOAT_LISTS,
+                "--eta": st.sampled_from(["5,1,1,5,2,1,1,1", "1,1,1,1,1,2,2,1", "3,1,1,3,1,1,1,1",
+                                          "1,1,1,1,1e200,1e200,1e200,1e200"]) | _FLOAT_LISTS,
+                "--file": ["{d}/kappa.txt", "{d}/eta.txt", "{d}/short_kappa.txt", "{d}/missing.txt"]},
+    "table1": _PLAN_FLAGS,
+    "table2": {**_PLAN_FLAGS, "--baseline": ["1", "9", "16", "0", "17", "x"]},
+    "containment": {**_PLAN_FLAGS, "--threshold": ["0", "5", "-1", "x"]},
+    "homotopy": {**_PLAN_FLAGS,
+                 "--covers": ["4,9", "4,9,15", "10,12", "4", "4,4", "0,9", "4,99", "1,2,3,4", "a,b"],
+                 "--delta": ["0.05", "0.25", "0.5", "1", "0.1", "0.3", "0", "-0.5", "nan", "1e-9", "x"]},
+    "selftest": {"--json": None},
+}
+_ARGV_FILES = {
+    "no_cover.txt": "4 2\n2 0\n0 1\n0 0\nm 2 1\n", "extra.txt": "4 2 7\nm 2 1 5\n",
+    "short.txt": "4 2\n2\nm 2 1\n", "no_m.txt": "4 2\n2 0\n", "not_int.txt": "a b\nm 2 1\n",
+    "repeated.txt": "4 2\n4 2\nm 2 1\n", "conf.txt": "n=2000\nseed=7\nthreads=2\n",
+    "bad_conf.txt": "n=many\n", "tiny_box.txt": "box=1e-200\n", "kappa.txt": "1 " * 12,
+    "eta.txt": "5,1,1,5,2,1,1,1", "short_kappa.txt": "1 2 3",
+}
+
+
+@st.composite
+def any_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(list(flags)), max_size=4))
+    if command == "homotopy" and draw(st.integers(0, 9)):
+        chosen.insert(0, "--covers")  # required; missing in one draw in ten
+    if not draw(st.integers(0, 9)):
+        chosen.append("--bogus")
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        values = flags.get(flag)
+        if values is not None:
+            argv.append(draw(values if isinstance(values, st.SearchStrategy) else st.sampled_from(values)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    for name, text in _ARGV_FILES.items():
+        (d / name).write_text(text)
+    return d
+
+
+@pytest.fixture(scope="module")
+def fixed_run():
+    """One small run with all 16 Theta sums kept, returned for every fuzzed plan."""
+    return evaluate_covers(SamplePlan(target_case4_samples=2000, seed=1), keep_theta=range(1, 17))
+
+
+@given(any_argv())
+@settings(max_examples=400, deadline=None)
+def test_every_argv_ends_in_an_exit_code(argv_dir, fixed_run, argv):
+    import hexcover.cli as cli
+
+    def no_sampling(plan, keep_theta=()):
+        assert isinstance(plan, SamplePlan)
+        return fixed_run
+
+    argv = [a.format(d=argv_dir) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "evaluate_covers", no_sampling), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_UNDETERMINED, EXIT_MULTISTATIONARY, EXIT_USAGE), argv
+    if code == EXIT_USAGE:
+        assert out.getvalue() == "", argv  # rejected before any output
 
 
 def test_certify_matches_batch_verdicts(capsys):
@@ -185,6 +274,10 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
     ["table2", "--baseline", "0"], ["table2", "--baseline", "17"],
     ["enumerate", "--points", "{tmp}/missing.txt"], ["enumerate", "--points", "{tmp}/no_m.txt"],
     ["enumerate", "--points", "{tmp}/short_line.txt"], ["enumerate", "--points", "{tmp}/repeated.txt"],
+    ["enumerate", "--points", "{tmp}/extra_numbers.txt"],
+    ["table1", "--box", "1e-100"], ["table2", "--box", "1e-200"], ["containment", "--box", "1e200"],
+    ["homotopy", "--covers", "4,9", "--box", "1e-100"],
+    ["table1", "--out", "{tmp}/missing/t_"], ["homotopy", "--covers", "4,9", "--out", "{tmp}/missing/"],
     ["certify", "--eta", "1,1,1,1,1e200,1e200,1e200,1e200"],
     ["certify", "--kappa", "1,1,1,1,1,1,1,1,1,1,1,inf"],
     ["certify", "--eta", "5e300,1,1,5e300,2,1,1,1"],
@@ -200,6 +293,7 @@ def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, ar
     (tmp_path / "no_m.txt").write_text("4 2\n2 0\n")
     (tmp_path / "short_line.txt").write_text("4 2\n2\nm 2 1\n")
     (tmp_path / "repeated.txt").write_text("4 2\n4 2\nm 2 1\n")
+    (tmp_path / "extra_numbers.txt").write_text("4 2 7\nm 2 1 5\n")
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1

@@ -10,6 +10,7 @@ import pytest
 from hexcover import experiment
 from hexcover.circuits import cover_theta_sum
 from hexcover.experiment import (
+    BOX_RANGE,
     MAX_SWEEP_STEPS,
     MAX_THREADS,
     RAW_BLOCK,
@@ -28,10 +29,25 @@ from hexcover.experiment import (
     sweep_steps,
 )
 from hexcover.geometry import HEXAGON_POSITIVE
+from hexcover.model import _reduced, ab_values, is_case4
 
 
 def collect_etas(plan, case="case4"):
     return np.concatenate([eta for eta, _, _ in sample_case4(plan, case)], axis=1)
+
+
+def per_sample_masks(plan):
+    """Each sample's 16-bit hit mask, from the sample stream and the Theta kernel directly."""
+    evaluator, chunks = CoverEvaluator(), []
+    for _, coeffs, c_m in sample_case4(plan):
+        hits = evaluator.theta_sums(np.log(coeffs)) >= -c_m
+        chunks.append(sum(hits[i].astype(np.int64) << i for i in range(16)))
+    return np.concatenate(chunks)
+
+
+@pytest.fixture(scope="module")
+def small_masks(small_run):
+    return per_sample_masks(small_run.plan)
 
 
 def test_threads_do_not_change_stream():
@@ -74,11 +90,14 @@ def test_neighbor_seeds_agree_within_error(small_run):
         assert delta <= 3 * math.sqrt(2) * sigma
 
 
-def test_union_dominates_each_cover(small_run):
+def test_union_dominates_each_cover(small_run, small_masks):
     assert small_run.union_count >= small_run.counts.max()
     assert (small_run.counts <= small_run.n).all()
-    expected_union = int((small_run.hits != 0).sum())
+    expected_union = int((small_masks != 0).sum())
     assert small_run.union_count == expected_union
+    # the histogram is exactly the per-sample masks counted
+    masks, counts = np.unique(small_masks, return_counts=True)
+    assert np.array_equal(small_run.masks, masks) and np.array_equal(small_run.mask_counts, counts)
 
 
 def test_pool_does_not_run_cancelled_lookahead(monkeypatch):
@@ -132,8 +151,8 @@ def test_theta_sums_batch_of_one_matches_block():
             assert math.isclose(theta, cover_theta_sum(cover, point), rel_tol=1e-12)
 
 
-def test_histogram_statistics_match_per_sample_bits(small_run):
-    bits = ((small_run.hits[None, :] >> np.arange(16)[:, None]) & 1).astype(np.int64)
+def test_histogram_statistics_match_per_sample_bits(small_run, small_masks):
+    bits = ((small_masks[None, :] >> np.arange(16)[:, None]) & 1).astype(np.int64)
     assert np.array_equal(small_run.counts, bits.sum(axis=1))
     assert small_run.union_count == int(bits.any(axis=0).sum())
     diff = bits.sum(axis=1)[:, None] - bits @ bits.T
@@ -159,13 +178,48 @@ def test_containment_allocates_nothing_per_sample(small_run):
 
 
 def test_matrix_deterministic_across_threads(small_run):
-    redo = evaluate_covers(
-        SamplePlan(target_case4_samples=small_run.n, seed=small_run.plan.seed,
-                   threads=4),
-        keep_theta=(4, 9, 10, 12, 15))
-    assert np.array_equal(redo.hits, small_run.hits)
+    serial, parallel = [
+        evaluate_covers(SamplePlan(target_case4_samples=small_run.n, seed=small_run.plan.seed,
+                                   threads=threads), keep_theta=range(1, 17))
+        for threads in (1, 4)]
+    assert serial.raw_draws == parallel.raw_draws
+    assert np.array_equal(serial.masks, parallel.masks)
+    assert np.array_equal(serial.mask_counts, parallel.mask_counts)
+    assert np.array_equal(serial.c_m.view(np.uint64), parallel.c_m.view(np.uint64))
+    for cid in range(1, 17):
+        assert serial.theta[cid].shape == (small_run.n,)
+        assert np.array_equal(serial.theta[cid].view(np.uint64), parallel.theta[cid].view(np.uint64))
     for cid in (4, 9, 10, 12, 15):
-        assert np.array_equal(redo.theta[cid], small_run.theta[cid])
+        assert np.array_equal(serial.theta[cid], small_run.theta[cid])
+    assert np.array_equal(serial.mask_counts, small_run.mask_counts)
+
+
+def test_run_keeps_no_per_sample_arrays():
+    evaluate_covers(SamplePlan(target_case4_samples=1), keep_theta=())  # fill the module caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = evaluate_covers(SamplePlan(target_case4_samples=200_000, seed=11), keep_theta=())
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert run.n == 200_000
+    assert run.theta == {} and run.c_m is None
+    assert kept < 64 * 1024  # 2 bytes per sample would be 400,000
+
+
+def test_block_task_runs_on_workers(monkeypatch):
+    threads, original = [], CoverEvaluator.theta_sums
+
+    def recorded(self, log_coeffs):
+        threads.append(threading.current_thread())
+        return original(self, log_coeffs)
+
+    monkeypatch.setattr(CoverEvaluator, "theta_sums", recorded)
+    run = evaluate_covers(SamplePlan(target_case4_samples=50_000, seed=6, threads=2),
+                          keep_theta=(4, 9))
+    assert len(threads) == run.raw_draws // RAW_BLOCK
+    assert threading.main_thread() not in threads
 
 
 def test_table2_bookkeeping_identity(small_run):
@@ -184,7 +238,7 @@ def test_compare_rejects_bad_baseline(small_run):
         compare_vs_baseline(small_run, baseline=0)
 
 
-def test_containment_matrix_consistency(small_run):
+def test_containment_matrix_consistency(small_run, small_masks):
     rep = containment_analysis(small_run)
     assert (np.diag(rep.matrix) == 0).all()
     for a, b in rep.edges:
@@ -193,7 +247,7 @@ def test_containment_matrix_consistency(small_run):
         assert 0 < rep.matrix[a - 1, b - 1] <= rep.near_band
     # unique counts: each sample certified by exactly one cover is owned once
     total_unique = int(rep.unique_counts.sum())
-    per_sample = np.array([bin(int(h)).count("1") for h in small_run.hits[:2000]])
+    per_sample = np.array([bin(int(h)).count("1") for h in small_masks[:2000]])
     assert (rep.unique_counts >= 0).all()
     assert total_unique <= small_run.n
     assert (per_sample == 1).sum() <= total_unique + (small_run.n - 2000)
@@ -345,6 +399,31 @@ def test_plan_validation():
     for bad in ({"box_size": math.nan}, {"box_size": math.inf}, {"seed": -1}, {"seed": 2**64}):
         with pytest.raises(ValueError):
             SamplePlan(**bad)
+
+
+def test_plan_box_range_ends():
+    low, high = BOX_RANGE
+    assert (low, high) == (2.0**-99, 2.0**150)
+    assert SamplePlan(box_size=low).box_size == low
+    assert SamplePlan(box_size=high).box_size == high
+    for bad in (math.nextafter(low, 0.0), math.nextafter(high, math.inf), 1e-100, 1e-200, 1e200):
+        with pytest.raises(ValueError):
+            SamplePlan(box_size=bad)
+
+
+@pytest.mark.parametrize("box", BOX_RANGE)
+def test_box_range_corners_give_normal_coefficients(box):
+    # every kappa component at N*2^-53 or N: the extremes of each K and k
+    corners = (np.arange(1 << 12)[None, :] >> np.arange(12)[:, None]) & 1
+    kappa = np.where(corners == 1, box, box * 2.0**-53)
+    eta = np.stack(_reduced(kappa))
+    a, b = ab_values(eta)
+    case4 = is_case4(a, b)
+    assert case4.sum() > 0
+    coeffs, c_m = experiment.hex_coefficient_arrays(eta[:, case4], a[case4], b[case4])
+    tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    assert ((coeffs >= tiny) & (coeffs <= huge)).all()
+    assert ((-c_m >= tiny) & (-c_m <= huge)).all()
 
 
 def test_plan_rejects_thread_counts_out_of_range():
