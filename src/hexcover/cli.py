@@ -69,6 +69,7 @@ _PLAN_FIELDS = {"box": ("box_size", float), "n": ("target_case4_samples", int),
 
 
 def _read_config(path: str) -> dict[str, str]:
+    """The file's 'key=value' lines; ValueError on a key that is not a plan flag."""
     conf = {}
     with open(path) as fh:
         for line in fh:
@@ -76,7 +77,10 @@ def _read_config(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            conf[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _PLAN_FIELDS:
+                raise ValueError(f"{path}: unknown key {key!r}; keys are {', '.join(_PLAN_FIELDS)}")
+            conf[key] = value.strip()
     return conf
 
 
@@ -132,10 +136,12 @@ def _load_points_file(path: str):
             if len(tokens) != 2 + is_m:
                 raise ValueError(f"{path}: expected 'x z' or 'm x z', got {line.strip()!r}")
             p = LatticePoint(int(tokens[is_m]), int(tokens[is_m + 1]))
-            if is_m:
+            if not is_m:
+                points.append(p)
+            elif m is None:
                 m = p
             else:
-                points.append(p)
+                raise ValueError(f"{path}: more than one interior point line ('m x z')")
     if m is None:
         raise ValueError(f"{path}: no interior point line ('m x z')")
     return point_configuration(points, m)

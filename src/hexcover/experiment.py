@@ -5,7 +5,7 @@ when they land in case 4 (a > 0, b < 0).  Each accepted sample is tested
 against every cover's certificate Theta-sum >= -c_m, giving a 16-bit hit
 mask.  Ratios, the baseline comparison and the containment poset depend
 only on how often each mask occurs, so a run keeps only the histogram of
-the masks; homotopies reuse retained per-sample Theta sums.
+the masks; homotopies keep Theta sums only of samples a sweep can flip.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block
 index) over fixed-size raw blocks.  A raw block is the unit of work: a
@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
@@ -37,6 +38,7 @@ LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
 MAX_THREADS = 64  # most worker threads a plan may ask for
 MAX_SWEEP_STEPS = 1000  # most grid steps per side of a homotopy sweep
 BOX_RANGE = (2.0**-99, 2.0**150)  # box sizes whose case-4 values stay normal; see SamplePlan
+_draws = threading.local()  # each thread's reused (12, RAW_BLOCK) draw buffer
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,16 @@ def classified_block(seed: int, block: int, box_size: float, case: str):
     """Accepted samples of one raw block as (eta, a, b), eta of shape (8, k).
 
     Draws use kappa = N*(1-U) so every component is strictly positive.
-    ``case`` "case4" keeps a > 0, b < 0; "case2" keeps a < 0.
+    ``case`` "case4" keeps a > 0, b < 0; "case2" keeps a < 0.  kappa lives in
+    the thread's one draw buffer, so no block re-faults its pages; no returned
+    array aliases it.
     """
     rng = Generator(Philox(key=[np.uint64(seed), np.uint64(block)]))
-    kappa = box_size * (1.0 - rng.random((12, RAW_BLOCK)))
+    if (kappa := getattr(_draws, "kappa", None)) is None:
+        kappa = _draws.kappa = np.empty((12, RAW_BLOCK))
+    rng.random(out=kappa)
+    np.subtract(1.0, kappa, out=kappa)
+    kappa *= box_size
     eta = np.stack(_reduced(kappa))
     a, b = ab_values(eta)
     if case == "case4":
@@ -197,17 +205,18 @@ class CoverHitMatrix:
 
     ``masks`` lists the distinct masks in ascending order and ``mask_counts``
     how often each occurs; every joint count is computed from these two.
-    ``theta`` retains per-sample Theta sums for the covers in ``keep_theta``,
-    and ``c_m`` the per-sample c_m when any are kept, so homotopies can reuse
-    the same stream.
+    For the covers in ``keep_theta``, ``n_always`` counts the samples every
+    convex weighting certifies, and ``mixed_theta`` and ``mixed_neg_cm`` hold
+    the Theta sums and -c_m of the *mixed* samples (see ``_classify``).
     """
 
     masks: np.ndarray
     mask_counts: np.ndarray
     raw_draws: int
     plan: SamplePlan
-    theta: dict[int, np.ndarray] = field(default_factory=dict)
-    c_m: np.ndarray | None = None
+    n_always: int
+    mixed_theta: dict[int, np.ndarray]
+    mixed_neg_cm: np.ndarray
 
     @property
     def n(self) -> int:
@@ -237,7 +246,12 @@ class CoverHitMatrix:
 
 
 def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
-    """Run the sampling plan; each block's task computes its hit masks, the consumer counts them."""
+    """Run the sampling plan; each block's task computes its hit masks, the consumer counts them.
+
+    Each truncated block is classified against all covers in ``keep_theta``.
+    Min and max Theta over any subset lie between those over the whole set,
+    so a sweep over any of these covers stays exact.
+    """
     evaluator = CoverEvaluator()
     keep_theta = tuple(dict.fromkeys(keep_theta))
     rows = [cover_fixture(cid).id - 1 for cid in keep_theta]  # ValueError unless in 1..16
@@ -248,20 +262,23 @@ def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
             if not (np.isfinite(values).all() and values.all()):
                 raise FloatingPointError(f"raw block {block}: a coefficient or c_m is 0 or not finite")
         theta = evaluator.theta_sums(np.log(coeffs))
-        return (1 << np.arange(16)) @ (theta >= -c_m), theta[rows], c_m
-    histogram, theta_chunks, cm_chunks = np.zeros(1 << 16, dtype=np.int64), [], []
-    for blocks, (mask, theta, c_m) in enumerate(_accepted_blocks(plan, task), 1):
+        return (1 << np.arange(16)) @ (theta >= -c_m), theta[rows], -c_m
+    histogram, n_always, kept = np.zeros(1 << 16, dtype=np.int64), 0, [np.empty((len(rows) + 1, 0))]
+    for blocks, (mask, theta, neg_cm) in enumerate(_accepted_blocks(plan, task), 1):
         histogram += np.bincount(mask, minlength=1 << 16)
         if keep_theta:
-            theta_chunks.append(theta)
-            cm_chunks.append(c_m)
+            always, mixed = _classify(theta, neg_cm)
+            n_always += always
+            kept.append(np.vstack([theta[:, mixed], neg_cm[mixed]]))
+    *mixed_theta, mixed_neg_cm = np.concatenate(kept, axis=1)
     return CoverHitMatrix(
         masks=np.flatnonzero(histogram),
         mask_counts=histogram[histogram != 0],
         raw_draws=blocks * RAW_BLOCK,
         plan=plan,
-        theta=dict(zip(keep_theta, np.concatenate(theta_chunks, axis=1))) if keep_theta else {},
-        c_m=np.concatenate(cm_chunks) if keep_theta else None,
+        n_always=n_always,
+        mixed_theta=dict(zip(keep_theta, mixed_theta)),
+        mixed_neg_cm=mixed_neg_cm,
     )
 
 
@@ -351,7 +368,7 @@ class HomotopyCurve:
     ratios: tuple[float, ...]
 
 
-SWEEP_SLACK = 16 * 2.0**-52  # relative slack of the sweep prune, derived in ``_sweep``
+SWEEP_SLACK = 16 * 2.0**-52  # relative slack of the sweep prune, derived in ``_classify``
 _WEIGHT_SUM_TOL = 4 * 2.0**-52  # the prune needs grid weights summing to 1 within this
 _PRUNE_RANGE = (2.0**-960, 2.0**960)  # the prune classifies only inside this range
 
@@ -377,29 +394,11 @@ def _hits(weights, thetas, neg_cm) -> int:
 
 
 def _classify(thetas, neg_cm: np.ndarray) -> tuple[int, np.ndarray]:
-    """(number of *always* samples, mask of *mixed* samples); see ``_sweep``.
+    """(number of *always* samples, mask of *mixed* samples) by each sample's extreme Thetas.
 
-    The smallest Theta is dropped before the largest is formed, so at most two
-    n-length float arrays besides the inputs are alive at once.
-    """
-    low, high = _PRUNE_RANGE
-    prunable = (neg_cm >= low) & (neg_cm <= high)
-    lo = functools.reduce(np.minimum, thetas)
-    always = prunable & (lo >= neg_cm * (1.0 + SWEEP_SLACK))
-    del lo
-    hi = functools.reduce(np.maximum, thetas)
-    always &= hi <= high
-    never = prunable & (hi < neg_cm * (1.0 - SWEEP_SLACK))
-    return int(np.count_nonzero(always)), ~(always | never)
-
-
-def _sweep(thetas, neg_cm: np.ndarray, weights) -> list[int]:
-    """Counts of ``_hits`` at each weight tuple, evaluating only the samples that can change.
-
-    Each sample is classified once by its smallest and largest Theta: *always*
-    certified when min Theta >= -c_m*(1+d), *never* when max Theta <
-    -c_m*(1-d), with d = SWEEP_SLACK; only the *mixed* rest is evaluated per
-    weight tuple, with the same float expression as a full evaluation.
+    A sample is *always* certified when min Theta >= -c_m*(1+d), *never* when
+    max Theta < -c_m*(1-d), with d = SWEEP_SLACK; a sweep evaluates only the
+    *mixed* rest per weight tuple, with the same float expression as ``_hits``.
 
     Why d = 16*2^-52 keeps the counts exact: let u = 2^-53.  If the weights
     are >= 0 and ``math.fsum`` puts their sum within 4*2^-52 = 8u of 1, their
@@ -413,42 +412,49 @@ def _sweep(thetas, neg_cm: np.ndarray, weights) -> list[int]:
     ``_PRUNE_RANGE`` are classified, and *always* needs max Theta in it too,
     so nothing overflows, underflow errs by less than 2^-110 of -c_m, and an
     inf or NaN Theta leaves its sample mixed.
-    Weight tuples that fail the check (e.g. 1.0-s-t rounding to -1e-17 on a
-    non-dyadic grid) are evaluated on every sample.
     """
-    n_always, mixed = _classify(thetas, neg_cm)
-    mixed_thetas, mixed_cm = [theta[mixed] for theta in thetas], neg_cm[mixed]
-    return [n_always + _hits(w, mixed_thetas, mixed_cm)
-            if min(w) >= 0 and abs(math.fsum(w) - 1.0) <= _WEIGHT_SUM_TOL
-            else _hits(w, thetas, neg_cm)
-            for w in weights]
+    low, high = _PRUNE_RANGE
+    prunable = (neg_cm >= low) & (neg_cm <= high)
+    lo, hi = functools.reduce(np.minimum, thetas), functools.reduce(np.maximum, thetas)
+    always = prunable & (lo >= neg_cm * (1.0 + SWEEP_SLACK)) & (hi <= high)
+    never = prunable & (hi < neg_cm * (1.0 - SWEEP_SLACK))
+    return int(np.count_nonzero(always)), ~(always | never)
 
 
-def _retained_theta(matrix: CoverHitMatrix, cover_ids) -> list[np.ndarray]:
+def _sweep(matrix: CoverHitMatrix, cover_ids, weights) -> list[int]:
+    """Counts of ``_hits`` at each weight tuple: the run's *always* samples plus its mixed hits.
+
+    ValueError unless the run kept the covers and each tuple is a convex
+    combination, >= 0 with a ``math.fsum`` within 4*2^-52 of 1, as the bound
+    in ``_classify`` needs.
+    """
     for cid in cover_ids:
-        if cid not in matrix.theta:
+        if cid not in matrix.mixed_theta:
             raise ValueError(f"run did not retain Theta sums for cover {cid}")
-    if matrix.c_m is None:
-        raise ValueError("run did not retain c_m")
-    return [matrix.theta[cid] for cid in cover_ids]
+    for w in weights:
+        if not (min(w) >= 0 and abs(math.fsum(w) - 1.0) <= _WEIGHT_SUM_TOL):
+            raise ValueError(f"weights {w} are not a convex combination")
+    thetas = [matrix.mixed_theta[cid] for cid in cover_ids]
+    return [matrix.n_always + _hits(w, thetas, matrix.mixed_neg_cm) for w in weights]
 
 
 def linear_homotopy(matrix: CoverHitMatrix, a: int, b: int, dt: float = 0.05) -> HomotopyCurve:
     """Hit ratios of (1-t)*Theta(a) + t*Theta(b) >= -c_m on the stored stream."""
     steps = sweep_steps(dt)
-    thetas = _retained_theta(matrix, (a, b))
     ts = [k / steps for k in range(steps + 1)]
-    counts = _sweep(thetas, -matrix.c_m, [(1.0 - t, t) for t in ts])
+    counts = _sweep(matrix, (a, b), [(1.0 - t, t) for t in ts])
     return HomotopyCurve((a, b), tuple((t,) for t in ts), tuple(k / matrix.n for k in counts))
 
 
 def simplicial_homotopy(matrix: CoverHitMatrix, a: int, b: int, c: int,
                         delta: float = 1 / 16) -> HomotopyCurve:
-    """Ratios of s*Theta(a) + t*Theta(b) + (1-s-t)*Theta(c) over the triangle grid."""
+    """Ratios of s*Theta(a) + t*Theta(b) + (1-s-t)*Theta(c) over the triangle grid.
+
+    1-s-t is clamped at 0: on the hypotenuse it can round to -2^-53.
+    """
     steps = sweep_steps(delta)
-    thetas = _retained_theta(matrix, (a, b, c))
     grid = [(i / steps, j / steps) for i in range(steps + 1) for j in range(steps + 1 - i)]
-    counts = _sweep(thetas, -matrix.c_m, [(s, t, 1.0 - s - t) for s, t in grid])
+    counts = _sweep(matrix, (a, b, c), [(s, t, max(0.0, 1.0 - s - t)) for s, t in grid])
     return HomotopyCurve((a, b, c), tuple(grid), tuple(k / matrix.n for k in counts))
 
 

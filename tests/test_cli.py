@@ -274,7 +274,8 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
     ["table2", "--baseline", "0"], ["table2", "--baseline", "17"],
     ["enumerate", "--points", "{tmp}/missing.txt"], ["enumerate", "--points", "{tmp}/no_m.txt"],
     ["enumerate", "--points", "{tmp}/short_line.txt"], ["enumerate", "--points", "{tmp}/repeated.txt"],
-    ["enumerate", "--points", "{tmp}/extra_numbers.txt"],
+    ["enumerate", "--points", "{tmp}/extra_numbers.txt"], ["enumerate", "--points", "{tmp}/two_m.txt"],
+    ["table1", "--config", "{tmp}/unknown_key.txt"],
     ["table1", "--box", "1e-100"], ["table2", "--box", "1e-200"], ["containment", "--box", "1e200"],
     ["homotopy", "--covers", "4,9", "--box", "1e-100"],
     ["table1", "--out", "{tmp}/missing/t_"], ["homotopy", "--covers", "4,9", "--out", "{tmp}/missing/"],
@@ -294,6 +295,8 @@ def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, ar
     (tmp_path / "short_line.txt").write_text("4 2\n2\nm 2 1\n")
     (tmp_path / "repeated.txt").write_text("4 2\n4 2\nm 2 1\n")
     (tmp_path / "extra_numbers.txt").write_text("4 2 7\nm 2 1 5\n")
+    (tmp_path / "two_m.txt").write_text("4 2\n2 0\n0 1\n0 0\nm 2 1\nm 9 9\n")
+    (tmp_path / "unknown_key.txt").write_text("seeds=7\n")
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1

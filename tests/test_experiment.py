@@ -1,8 +1,11 @@
 """Sampling determinism, cover evaluation, and derived statistics."""
 
 import math
+import resource
+import sys
 import threading
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hexcover.experiment import (
     RAW_BLOCK,
     SWEEP_SLACK,
     CoverEvaluator,
+    CoverHitMatrix,
     SamplePlan,
     binomial_sigma,
     case4_eta_points,
@@ -45,9 +49,24 @@ def per_sample_masks(plan):
     return np.concatenate(chunks)
 
 
+def per_sample_thetas(plan, cover_ids):
+    """({cover id: each sample's Theta sum}, each sample's -c_m), from the stream and kernel directly."""
+    evaluator, chunks = CoverEvaluator(), []
+    for _, coeffs, c_m in sample_case4(plan):
+        theta = evaluator.theta_sums(np.log(coeffs))
+        chunks.append(np.vstack([theta[[cid - 1 for cid in cover_ids]], -c_m]))
+    *thetas, neg_cm = np.concatenate(chunks, axis=1)
+    return dict(zip(cover_ids, thetas)), neg_cm
+
+
 @pytest.fixture(scope="module")
 def small_masks(small_run):
     return per_sample_masks(small_run.plan)
+
+
+@pytest.fixture(scope="module")
+def small_thetas(small_run):
+    return per_sample_thetas(small_run.plan, tuple(small_run.mixed_theta))
 
 
 def test_threads_do_not_change_stream():
@@ -185,27 +204,68 @@ def test_matrix_deterministic_across_threads(small_run):
     assert serial.raw_draws == parallel.raw_draws
     assert np.array_equal(serial.masks, parallel.masks)
     assert np.array_equal(serial.mask_counts, parallel.mask_counts)
-    assert np.array_equal(serial.c_m.view(np.uint64), parallel.c_m.view(np.uint64))
+    assert serial.n_always == parallel.n_always
+    assert np.array_equal(serial.mixed_neg_cm.view(np.uint64), parallel.mixed_neg_cm.view(np.uint64))
+    assert list(serial.mixed_theta) == list(range(1, 17))
     for cid in range(1, 17):
-        assert serial.theta[cid].shape == (small_run.n,)
-        assert np.array_equal(serial.theta[cid].view(np.uint64), parallel.theta[cid].view(np.uint64))
-    for cid in (4, 9, 10, 12, 15):
-        assert np.array_equal(serial.theta[cid], small_run.theta[cid])
+        assert serial.mixed_theta[cid].shape == serial.mixed_neg_cm.shape
+        assert np.array_equal(serial.mixed_theta[cid].view(np.uint64),
+                              parallel.mixed_theta[cid].view(np.uint64))
+    # a sample mixed for 5 covers is mixed for all 16: reclassifying the 16-cover rows
+    # against the 5 gives the 5-cover run bit for bit
+    five = tuple(small_run.mixed_theta)
+    always, mixed = experiment._classify([serial.mixed_theta[cid] for cid in five],
+                                         serial.mixed_neg_cm)
+    assert small_run.n_always == serial.n_always + always
+    assert np.array_equal(small_run.mixed_neg_cm, serial.mixed_neg_cm[mixed])
+    for cid in five:
+        assert np.array_equal(small_run.mixed_theta[cid], serial.mixed_theta[cid][mixed])
     assert np.array_equal(serial.mask_counts, small_run.mask_counts)
 
 
-def test_run_keeps_no_per_sample_arrays():
+def _kept_bytes(plan, keep_theta):
+    """The run and the bytes it still holds once ``evaluate_covers`` returns."""
     evaluate_covers(SamplePlan(target_case4_samples=1), keep_theta=())  # fill the module caches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        run = evaluate_covers(SamplePlan(target_case4_samples=200_000, seed=11), keep_theta=())
-        kept = tracemalloc.get_traced_memory()[0] - before
+        run = evaluate_covers(plan, keep_theta=keep_theta)
+        return run, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+def test_run_keeps_no_per_sample_arrays():
+    run, kept = _kept_bytes(SamplePlan(target_case4_samples=200_000, seed=11), ())
     assert run.n == 200_000
-    assert run.theta == {} and run.c_m is None
+    assert run.n_always == 0 and run.mixed_theta == {} and run.mixed_neg_cm.size == 0
     assert kept < 64 * 1024  # 2 bytes per sample would be 400,000
+
+
+def test_homotopy_run_keeps_only_mixed_samples():
+    run, kept = _kept_bytes(SamplePlan(target_case4_samples=200_000, seed=11), (4, 9, 15))
+    assert run.n == 200_000 and 0 < run.mixed_neg_cm.size < run.n // 50
+    for f in fields(CoverHitMatrix):
+        value = getattr(run, f.name)
+        for array in value.values() if isinstance(value, dict) else [value]:
+            assert not isinstance(array, np.ndarray) or array.size < run.n, f.name
+    assert kept < 256 * 1024  # the 3 Theta rows and c_m of every sample would be 6.4 MB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads minor page faults from getrusage")
+def test_serial_run_reuses_its_pages():
+    plan = SamplePlan(target_case4_samples=200_000, seed=11)
+    evaluate_covers(plan)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluate_covers(plan)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 4096
+
+
+def test_classified_blocks_of_one_thread_share_no_memory():
+    first, second = classified_block(0, 0, 1.0, "case4"), classified_block(0, 1, 1.0, "case4")
+    for x in first:
+        for y in second:
+            assert not np.shares_memory(x, y)
 
 
 def test_block_task_runs_on_workers(monkeypatch):
@@ -268,16 +328,22 @@ def test_linear_homotopy_endpoints_exact(small_run):
     assert curve.ratios[-1] == float(small_run.ratios[8])
 
 
-def test_homotopy_hit_implies_best_pure_hit(small_run):
+def test_homotopy_hit_implies_best_pure_hit(small_run, small_thetas):
     # a weighted certificate never beats the pointwise best of its two covers
-    neg_cm = -small_run.c_m
-    ta, tb = small_run.theta[4], small_run.theta[9]
+    thetas, neg_cm = small_thetas
+    ta, tb = thetas[4], thetas[9]
     for t in (0.25, 0.5, 0.75):
         mixed = (1.0 - t) * ta + t * tb >= neg_cm
         best = np.maximum(ta, tb) >= neg_cm
         assert not (mixed & ~best).any()
     curve = linear_homotopy(small_run, 4, 9)
     assert max(curve.ratios) <= small_run.union_ratio
+
+
+@pytest.mark.parametrize("steps", [3, 7, 10, 100])
+def test_simplicial_grids_are_convex(small_run, steps):
+    curve = simplicial_homotopy(small_run, 4, 9, 15, delta=1 / steps)
+    assert len(curve.ratios) == (steps + 1) * (steps + 2) // 2
 
 
 def test_simplicial_homotopy_corners(small_run):
@@ -301,41 +367,43 @@ def test_homotopy_requires_retained_theta(small_run):
         linear_homotopy(small_run, 1, 9)
 
 
-def _brute_linear(matrix, a, b, dt):
+def _brute_linear(per_sample, a, b, dt):
     """The grid loop that evaluated every sample at every point, kept as the reference."""
     steps = round(1.0 / dt)
-    ta, tb, neg_cm = matrix.theta[a], matrix.theta[b], -matrix.c_m
+    (thetas, neg_cm), n = per_sample, per_sample[1].size
+    ta, tb = thetas[a], thetas[b]
     grid, ratios = [], []
     for k in range(steps + 1):
         t = k / steps
-        ratios.append(float(((1.0 - t) * ta + t * tb >= neg_cm).sum()) / matrix.n)
+        ratios.append(float(((1.0 - t) * ta + t * tb >= neg_cm).sum()) / n)
         grid.append((t,))
     return experiment.HomotopyCurve((a, b), tuple(grid), tuple(ratios))
 
 
-def _brute_simplicial(matrix, a, b, c, delta):
+def _brute_simplicial(per_sample, a, b, c, delta):
     steps = round(1.0 / delta)
-    ta, tb, tc, neg_cm = matrix.theta[a], matrix.theta[b], matrix.theta[c], -matrix.c_m
+    (thetas, neg_cm), n = per_sample, per_sample[1].size
+    ta, tb, tc = thetas[a], thetas[b], thetas[c]
     grid, ratios = [], []
     for i in range(steps + 1):
         for j in range(steps + 1 - i):
             s, t = i / steps, j / steps
-            theta = s * ta + t * tb + (1.0 - s - t) * tc
-            ratios.append(float((theta >= neg_cm).sum()) / matrix.n)
+            theta = s * ta + t * tb + (1.0 - s - t) * tc  # unclamped: may weight tc by -2^-53
+            ratios.append(float((theta >= neg_cm).sum()) / n)
             grid.append((s, t))
     return experiment.HomotopyCurve((a, b, c), tuple(grid), tuple(ratios))
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.01, 0.1])
 @pytest.mark.parametrize("covers", [(4, 9), (10, 12)])
-def test_linear_sweep_matches_brute_force(small_run, covers, dt):
-    assert linear_homotopy(small_run, *covers, dt=dt) == _brute_linear(small_run, *covers, dt)
+def test_linear_sweep_matches_brute_force(small_run, small_thetas, covers, dt):
+    assert linear_homotopy(small_run, *covers, dt=dt) == _brute_linear(small_thetas, *covers, dt)
 
 
 @pytest.mark.parametrize("delta", [1 / 4, 1 / 16, 0.1])
-def test_simplicial_sweep_matches_brute_force(small_run, delta):
+def test_simplicial_sweep_matches_brute_force(small_run, small_thetas, delta):
     assert (simplicial_homotopy(small_run, 4, 9, 15, delta=delta)
-            == _brute_simplicial(small_run, 4, 9, 15, delta))
+            == _brute_simplicial(small_thetas, 4, 9, 15, delta))
 
 
 def test_sweep_prune_exact_on_adversarial_thetas():
@@ -351,17 +419,25 @@ def test_sweep_prune_exact_on_adversarial_thetas():
     thetas[1][:2] = np.inf, np.nan
 
     grid = [(i / 10, j / 10) for i in range(11) for j in range(11 - i)]
-    weights = [(s, t, 1.0 - s - t) for s, t in grid]
-    assert min(w[2] for w in weights) < 0  # 1.0-s-t rounds below 0 on this grid
-    weights += [(i / 7, j / 7, 1.0 - i / 7 - j / 7) for i in range(8) for j in range(8 - i)]
-    weights += [(0.5, 0.5 + 2.0**-40, 0.0), (1 / 3, 1 / 3, 1 / 3)]
+    grid += [(i / 7, j / 7) for i in range(8) for j in range(8 - i)]
+    assert min(1.0 - s - t for s, t in grid) < 0  # 1.0-s-t rounds below 0 on these grids
+    weights = [(s, t, max(0.0, 1.0 - s - t)) for s, t in grid] + [(1 / 3, 1 / 3, 1 / 3)]
 
     with np.errstate(invalid="ignore", over="ignore"):
         n_always, mixed = experiment._classify(thetas, neg_cm)
-        counts = experiment._sweep(thetas, neg_cm, weights)
+        run = CoverHitMatrix(masks=np.zeros(1, dtype=np.int64), mask_counts=np.array([n]),
+                             raw_draws=0, plan=SamplePlan(), n_always=n_always,
+                             mixed_theta={cid: theta[mixed] for cid, theta in zip((1, 2, 3), thetas)},
+                             mixed_neg_cm=neg_cm[mixed])
+        counts = experiment._sweep(run, (1, 2, 3), weights)
         brute = [int(((w[0] * thetas[0] + w[1] * thetas[1] + w[2] * thetas[2]) >= neg_cm).sum())
                  for w in weights]
     assert counts == brute
+    negative = next((s, t, 1.0 - s - t) for s, t in grid if 1.0 - s - t < 0)
+    for bad in (negative, (0.5, 0.5 + 2.0**-40, 0.0), (0.5, 0.5, 0.5),
+                (1.5, -0.5, 0.0), (math.nan, 0.5, 0.5)):
+        with pytest.raises(ValueError):
+            experiment._sweep(run, (1, 2, 3), [bad])
     lo = np.minimum(np.minimum(thetas[0], thetas[1]), thetas[2])
     close = ~mixed & (np.abs(lo / neg_cm - 1.0) <= 2 * SWEEP_SLACK)
     assert n_always > 0 and close.sum() > 100  # the prune decided samples within 32 ulps
@@ -378,7 +454,11 @@ def test_sweep_steps_bounds():
 def test_keep_theta_ids_checked_and_deduplicated():
     plan = SamplePlan(target_case4_samples=1000, seed=3)
     run = evaluate_covers(plan, keep_theta=(4, 4))
-    assert list(run.theta) == [4] and run.theta[4].shape == run.c_m.shape == (1000,)
+    thetas, neg_cm = per_sample_thetas(plan, (4,))
+    n_always, mixed = experiment._classify([thetas[4]], neg_cm)
+    assert list(run.mixed_theta) == [4] and run.n_always == n_always
+    assert np.array_equal(run.mixed_theta[4], thetas[4][mixed])
+    assert np.array_equal(run.mixed_neg_cm, neg_cm[mixed])
     for bad in ((0,), (17,), (4, -1)):
         with pytest.raises(ValueError):
             evaluate_covers(plan, keep_theta=bad)
