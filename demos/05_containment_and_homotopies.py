@@ -17,7 +17,7 @@ from hexcover import (
 
 N = 200_000
 plan = SamplePlan(box_size=1.0, target_case4_samples=N, seed=42, threads=4)
-matrix = evaluate_covers(plan, keep_theta=(4, 9, 10, 12, 15))
+matrix = evaluate_covers(plan, keep_theta=range(1, 17))
 
 report = containment_analysis(matrix)
 print("containment edges (A certified-subset-of B, zero violations):")

@@ -45,6 +45,7 @@ from .experiment import (
     CoverEvaluator,
     SamplePlan,
     case4_eta_points,
+    check_containment_threshold,
     compare_vs_baseline,
     containment_analysis,
     evaluate_covers,
@@ -188,9 +189,10 @@ def _check_certify(args) -> None:
     of the closed-form bounds must stay in float64 too; a coefficient that
     rounds to 0 already fails cover 9's Theta sum there.
     """
-    text = Path(args.file).read_text() if args.file else args.kappa or args.eta
-    if text is None:
-        raise ValueError("provide --kappa, --eta, or --file")
+    given = [text for text in (args.kappa, args.eta, args.file) if text is not None]
+    if len(given) != 1:
+        raise ValueError("provide exactly one of --kappa, --eta, --file")
+    text = Path(args.file).read_text() if args.file is not None else given[0]
     values = [float(t) for t in text.replace(",", " ").split()]
     if len(values) == 12:
         eta = reduce(KappaVector(tuple(values)))
@@ -287,6 +289,10 @@ def cmd_table2(args) -> int:
             for r, (plus, minus, zero) in zip(records, scaled)
         ],
     })
+
+
+def _check_containment(args) -> None:
+    check_containment_threshold(args.threshold)  # ValueError below 0
 
 
 def cmd_containment(args) -> int:
@@ -416,12 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", default=None, help="file with 12 or 8 positive reals")
     p.set_defaults(func=cmd_certify, check=_check_certify)
 
-    for name, func in (("table1", cmd_table1), ("containment", cmd_containment)):
-        p = sub.add_parser(name)
-        _add_plan_flags(p)
-        if name == "containment":
-            p.add_argument("--threshold", type=int, default=0)
-        p.set_defaults(func=func, check=None)
+    p = sub.add_parser("table1")
+    _add_plan_flags(p)
+    p.set_defaults(func=cmd_table1, check=None)
+
+    p = sub.add_parser("containment")
+    _add_plan_flags(p)
+    p.add_argument("--threshold", type=int, default=0, help="largest |A\\B| count, >= 0, for A in B")
+    p.set_defaults(func=cmd_containment, check=_check_containment)
 
     p = sub.add_parser("table2")
     _add_plan_flags(p)

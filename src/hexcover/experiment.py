@@ -2,10 +2,12 @@
 
 Rate constants are drawn uniformly from (0, N]^12, reduced to eta, and kept
 when they land in case 4 (a > 0, b < 0).  Each accepted sample is tested
-against every cover's certificate Theta-sum >= -c_m, giving a 16-bit hit
-mask.  Ratios, the baseline comparison and the containment poset depend
-only on how often each mask occurs, so a run keeps only the histogram of
-the masks; homotopies keep Theta sums only of samples a sweep can flip.
+against the certificate Theta-sum >= -c_m of every cover the run evaluates,
+giving a hit mask with one bit per cover: all 16 for the tables, only the
+swept 2 or 3 for a homotopy.  Ratios, the baseline comparison and the
+containment poset depend only on how often each mask occurs, so a run keeps
+only the histogram of the masks; homotopies keep Theta sums only of samples
+a sweep can flip.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block
 index) over fixed-size raw blocks.  A raw block is the unit of work: a
@@ -94,16 +96,24 @@ class SamplePlan:
 
 
 class CoverEvaluator:
-    """Vectorized Theta sums of the 16 pure covers, one table row per distinct simplex.
+    """Vectorized Theta sums of some pure covers, one table row per distinct simplex.
 
-    The covers use 66 simplex blocks but only 21 distinct simplices.  Each is
-    evaluated once, elementwise, as exp(const + lambda_0*L[i0] + lambda_1*L[i1]
+    ``cover_ids`` picks the covers, all 16 by default; ``self.cover_ids``
+    holds them in id order without repeats.  The 16 covers use 66 simplex
+    blocks but only 21 distinct simplices, and an evaluator compiles only
+    those of its own covers (10 for covers 4, 9 and 15).  Each is evaluated
+    once, elementwise, as exp(const + lambda_0*L[i0] + lambda_1*L[i1]
     (+ lambda_2*L[i2])) with lambdas and const from ``_compiled_simplex``, so
-    a sample gets the same bits in any batch; a single point is a batch of one.
+    a sample gets the same bits in any batch and from any evaluator; a single
+    point is a batch of one.
     """
 
-    def __init__(self):
-        self.covers = all_covers()
+    def __init__(self, cover_ids=range(1, 17)):
+        wanted = set(cover_ids)
+        self.covers = [cover for cover in all_covers() if cover.id in wanted]
+        if len(self.covers) != len(wanted):
+            raise ValueError(f"cover ids must be in 1..16, got {tuple(cover_ids)}")
+        self.cover_ids = tuple(cover.id for cover in self.covers)
         rows: dict = {}
         self._cover_rows = [[rows.setdefault(s, len(rows)) for s in cover.simplices]
                             for cover in self.covers]
@@ -111,7 +121,7 @@ class CoverEvaluator:
                        for s in rows]
 
     def theta_sums(self, log_coeffs: np.ndarray) -> np.ndarray:
-        """(16, k) Theta sums from a (10, k) array of log coefficients."""
+        """(covers, k) Theta sums from a (10, k) array of log coefficients."""
         thetas = [np.exp(sum((l * log_coeffs[i] for i, l in zip(idx, lams)), const))
                   for idx, lams, const in self._table]
         return np.stack([sum(thetas[r] for r in rows) for rows in self._cover_rows])
@@ -122,24 +132,29 @@ def classified_block(seed: int, block: int, box_size: float, case: str):
 
     Draws use kappa = N*(1-U) so every component is strictly positive.
     ``case`` "case4" keeps a > 0, b < 0; "case2" keeps a < 0.  kappa lives in
-    the thread's one draw buffer, so no block re-faults its pages; no returned
-    array aliases it.
+    the thread's one draw buffer, so no block re-faults its pages; each eta
+    row, a and b is compressed once by the accepted indices, and no returned
+    array aliases the buffer.
     """
     rng = Generator(Philox(key=[np.uint64(seed), np.uint64(block)]))
     if (kappa := getattr(_draws, "kappa", None)) is None:
         kappa = _draws.kappa = np.empty((12, RAW_BLOCK))
     rng.random(out=kappa)
     np.subtract(1.0, kappa, out=kappa)
-    kappa *= box_size
-    eta = np.stack(_reduced(kappa))
-    a, b = ab_values(eta)
+    if box_size != 1.0:  # x*1.0 == x bit for bit for every finite x
+        kappa *= box_size
+    rows = _reduced(kappa)
+    a, b = ab_values(rows)
     if case == "case4":
-        mask = is_case4(a, b)
+        accepted = np.flatnonzero(is_case4(a, b))
     elif case == "case2":
-        mask = a < 0
+        accepted = np.flatnonzero(a < 0)
     else:
         raise ValueError(f"unknown case filter {case!r}")
-    return eta[:, mask], a[mask], b[mask]
+    eta = np.empty((8, accepted.size))
+    for row, out in zip(rows, eta):
+        row.take(accepted, out=out)
+    return eta, a[accepted], b[accepted]
 
 
 def hex_coefficient_arrays(eta: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -201,19 +216,22 @@ def sample_case4(plan: SamplePlan, case: str = "case4") -> Iterator[tuple[np.nda
 
 @dataclass
 class CoverHitMatrix:
-    """The histogram of a run's hit masks (bit i-1 set iff cover i certified a sample).
+    """The histogram of a run's hit masks over the covers it evaluated.
 
+    Bit j of a mask is set iff cover ``cover_ids[j]`` certified the sample;
     ``masks`` lists the distinct masks in ascending order and ``mask_counts``
-    how often each occurs; every joint count is computed from these two.
-    For the covers in ``keep_theta``, ``n_always`` counts the samples every
-    convex weighting certifies, and ``mixed_theta`` and ``mixed_neg_cm`` hold
-    the Theta sums and -c_m of the *mixed* samples (see ``_classify``).
+    how often each occurs; every joint count is computed from these two, and
+    a run reports no count for a cover it did not evaluate.  For the covers
+    in ``keep_theta``, ``n_always`` counts the samples every convex weighting
+    certifies, and ``mixed_theta`` and ``mixed_neg_cm`` hold the Theta sums
+    and -c_m of the *mixed* samples (see ``_classify``).
     """
 
     masks: np.ndarray
     mask_counts: np.ndarray
     raw_draws: int
     plan: SamplePlan
+    cover_ids: tuple[int, ...]
     n_always: int
     mixed_theta: dict[int, np.ndarray]
     mixed_neg_cm: np.ndarray
@@ -224,12 +242,12 @@ class CoverHitMatrix:
 
     @property
     def mask_bits(self) -> np.ndarray:
-        """(distinct masks, 16) 0/1 matrix; column i-1 is cover i's hit bit."""
-        return (self.masks[:, None] >> np.arange(16)) & 1
+        """(distinct masks, covers) 0/1 matrix; column j is cover ``cover_ids[j]``'s hit bit."""
+        return (self.masks[:, None] >> np.arange(len(self.cover_ids))) & 1
 
     @property
     def counts(self) -> np.ndarray:
-        """Samples certified by each cover, in cover-id order."""
+        """Samples certified by each evaluated cover, in ``cover_ids`` order."""
         return self.mask_counts @ self.mask_bits
 
     @property
@@ -248,13 +266,16 @@ class CoverHitMatrix:
 def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
     """Run the sampling plan; each block's task computes its hit masks, the consumer counts them.
 
-    Each truncated block is classified against all covers in ``keep_theta``.
-    Min and max Theta over any subset lie between those over the whole set,
-    so a sweep over any of these covers stays exact.
+    The run evaluates exactly the covers in ``keep_theta``, or all 16 when it
+    is empty, and each truncated block is classified against all covers in
+    ``keep_theta``.  Min and max Theta over any subset lie between those over
+    the whole set, so a sweep over any of these covers stays exact.
     """
-    evaluator = CoverEvaluator()
-    keep_theta = tuple(dict.fromkeys(keep_theta))
-    rows = [cover_fixture(cid).id - 1 for cid in keep_theta]  # ValueError unless in 1..16
+    keep_theta = tuple(keep_theta)
+    evaluator = CoverEvaluator(keep_theta or range(1, 17))  # ValueError unless ids in 1..16
+    ids = evaluator.cover_ids
+    kept_rows = len(ids) if keep_theta else 0
+    bits = 1 << np.arange(len(ids))
 
     def task(block):
         _, coeffs, c_m = _sample_block(plan, "case4", block)
@@ -262,10 +283,10 @@ def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
             if not (np.isfinite(values).all() and values.all()):
                 raise FloatingPointError(f"raw block {block}: a coefficient or c_m is 0 or not finite")
         theta = evaluator.theta_sums(np.log(coeffs))
-        return (1 << np.arange(16)) @ (theta >= -c_m), theta[rows], -c_m
-    histogram, n_always, kept = np.zeros(1 << 16, dtype=np.int64), 0, [np.empty((len(rows) + 1, 0))]
+        return bits @ (theta >= -c_m), theta[:kept_rows], -c_m
+    histogram, n_always, kept = np.zeros(1 << len(ids), dtype=np.int64), 0, [np.empty((kept_rows + 1, 0))]
     for blocks, (mask, theta, neg_cm) in enumerate(_accepted_blocks(plan, task), 1):
-        histogram += np.bincount(mask, minlength=1 << 16)
+        histogram += np.bincount(mask, minlength=histogram.size)
         if keep_theta:
             always, mixed = _classify(theta, neg_cm)
             n_always += always
@@ -276,10 +297,17 @@ def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
         mask_counts=histogram[histogram != 0],
         raw_draws=blocks * RAW_BLOCK,
         plan=plan,
+        cover_ids=ids,
         n_always=n_always,
-        mixed_theta=dict(zip(keep_theta, mixed_theta)),
+        mixed_theta=dict(zip(ids, mixed_theta)),
         mixed_neg_cm=mixed_neg_cm,
     )
+
+
+def _require_all_covers(matrix: CoverHitMatrix) -> None:
+    """ValueError unless the run evaluated all 16 covers, as the two reports need."""
+    if matrix.cover_ids != tuple(range(1, 17)):
+        raise ValueError(f"the report needs all 16 covers; the run evaluated {matrix.cover_ids}")
 
 
 @dataclass(frozen=True)
@@ -293,6 +321,7 @@ class ComparisonRecord:
 
 
 def compare_vs_baseline(matrix: CoverHitMatrix, baseline: int = 9) -> list[ComparisonRecord]:
+    _require_all_covers(matrix)
     cover_fixture(baseline)  # ValueError unless the id is in 1..16
     bits = matrix.mask_bits.astype(bool)
     base = bits[:, [baseline - 1]]
@@ -318,8 +347,19 @@ class ContainmentReport:
     hasse_edges: list[tuple[int, int]]  # transitive reduction over group representatives
 
 
+def check_containment_threshold(threshold: int) -> None:
+    """ValueError for a threshold below 0, which no |A\\B| count can meet."""
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+
+
 def containment_analysis(matrix: CoverHitMatrix, threshold: int = 0) -> ContainmentReport:
-    """|A\\B| counts, containment edges, uniqueness, and the Hasse reduction."""
+    """|A\\B| counts, containment edges, uniqueness, and the Hasse reduction.
+
+    ValueError unless the run evaluated all 16 covers and ``threshold`` >= 0.
+    """
+    _require_all_covers(matrix)
+    check_containment_threshold(threshold)
     bits, weights = matrix.mask_bits, matrix.mask_counts
     inter = bits.T @ (weights[:, None] * bits)  # |A & B|
     diff = matrix.counts[:, None] - inter  # |A \ B|

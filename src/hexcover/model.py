@@ -80,8 +80,8 @@ def reduce(kappa: KappaVector) -> EtaPoint:
 def ab_values(eta):
     """a = k3*k12 - k6*k9 and b = (K2+K3)*k3*k12 - (K1+K4)*k6*k9.
 
-    ``eta`` is an EtaPoint or an (8, k) array of the same components; the
-    result is a pair of floats or of arrays.
+    ``eta`` is an EtaPoint, an (8, k) array or a sequence of 8 rows of the
+    same components; the result is a pair of floats or of arrays.
     """
     K1, K2, K3, K4, k3, k6, k9, k12 = eta
     a = k3 * k12 - k6 * k9

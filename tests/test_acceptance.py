@@ -36,7 +36,7 @@ SEED = 42
 @pytest.fixture(scope="module")
 def full_run():
     plan = SamplePlan(box_size=1.0, target_case4_samples=N_FULL, seed=SEED, threads=4)
-    return evaluate_covers(plan, keep_theta=(4, 9, 10, 12, 15))
+    return evaluate_covers(plan, keep_theta=range(1, 17))
 
 
 def report(num, ok, detail):

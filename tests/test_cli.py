@@ -282,6 +282,9 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
     ["certify", "--eta", "1,1,1,1,1e200,1e200,1e200,1e200"],
     ["certify", "--kappa", "1,1,1,1,1,1,1,1,1,1,1,inf"],
     ["certify", "--eta", "5e300,1,1,5e300,2,1,1,1"],
+    ["certify", "--kappa", "1,1,1,1,1,1,1,1,1,1,1,1", "--eta", "5,1,1,5,2,1,1,1"],
+    ["certify", "--eta", "5,1,1,5,2,1,1,1", "--file", "{tmp}/point.txt"],
+    ["containment", "--threshold", "-3", "--n", "1000"],
 ], ids=" ".join)
 def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, argv):
     import hexcover.cli as cli
@@ -297,9 +300,26 @@ def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, ar
     (tmp_path / "extra_numbers.txt").write_text("4 2 7\nm 2 1 5\n")
     (tmp_path / "two_m.txt").write_text("4 2\n2 0\n0 1\n0 0\nm 2 1\nm 9 9\n")
     (tmp_path / "unknown_key.txt").write_text("seeds=7\n")
+    (tmp_path / "point.txt").write_text("5 1 1 5 2 1 1 1\n")
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("covers,table_rows", [("4,9,15", 10), ("4,9", 8)])
+def test_homotopy_evaluates_only_its_covers(monkeypatch, capsys, covers, table_rows):
+    batches, original = [], CoverEvaluator.theta_sums
+
+    def recorded(self, log_coeffs):
+        theta = original(self, log_coeffs)
+        batches.append((self.cover_ids, len(self._table), theta.shape[0]))
+        return theta
+
+    monkeypatch.setattr(CoverEvaluator, "theta_sums", recorded)
+    code, out, _ = run(capsys, "homotopy", "--covers", covers, "--delta", "0.25", *N_SMALL)
+    ids = tuple(map(int, covers.split(",")))
+    assert code == EXIT_OK and len(data_rows(out)) > 0 and batches
+    assert set(batches) == {(ids, table_rows, len(ids))}
 
 
 def test_parser_built_once_without_state_between_calls(capsys):

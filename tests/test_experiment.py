@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from hexcover import experiment
 from hexcover.circuits import cover_theta_sum
@@ -87,6 +88,26 @@ def test_draws_strictly_positive_and_in_box():
         # the pass-through rate constants live in (0, box]
         for row in (4, 5, 6, 7):
             assert (eta[row] > 0).all() and (eta[row] <= box).all()
+
+
+def _stacked_block(seed, block, box_size, case):
+    """The raw block's accepted samples the way the stacked path computed them, as a reference."""
+    kappa = 1.0 - Generator(Philox(key=[np.uint64(seed), np.uint64(block)])).random((12, RAW_BLOCK))
+    kappa *= box_size
+    eta = np.stack(_reduced(kappa))
+    a, b = ab_values(eta)
+    mask = is_case4(a, b) if case == "case4" else a < 0
+    return eta[:, mask], a[mask], b[mask]
+
+
+@pytest.mark.parametrize("case", ["case4", "case2"])
+@pytest.mark.parametrize("box", [1.0, 3.7, 2.0**-99, 2.0**150])
+def test_classified_block_matches_stacked_reference(case, box):
+    for block in range(4):
+        got, want = classified_block(7, block, box, case), _stacked_block(7, block, box, case)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.flags.c_contiguous
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def test_acceptance_rate_scale_invariant():
@@ -211,16 +232,66 @@ def test_matrix_deterministic_across_threads(small_run):
         assert serial.mixed_theta[cid].shape == serial.mixed_neg_cm.shape
         assert np.array_equal(serial.mixed_theta[cid].view(np.uint64),
                               parallel.mixed_theta[cid].view(np.uint64))
-    # a sample mixed for 5 covers is mixed for all 16: reclassifying the 16-cover rows
-    # against the 5 gives the 5-cover run bit for bit
-    five = tuple(small_run.mixed_theta)
-    always, mixed = experiment._classify([serial.mixed_theta[cid] for cid in five],
-                                         serial.mixed_neg_cm)
-    assert small_run.n_always == serial.n_always + always
-    assert np.array_equal(small_run.mixed_neg_cm, serial.mixed_neg_cm[mixed])
-    for cid in five:
-        assert np.array_equal(small_run.mixed_theta[cid], serial.mixed_theta[cid][mixed])
     assert np.array_equal(serial.mask_counts, small_run.mask_counts)
+
+
+@pytest.fixture(scope="module")
+def subset_run(small_run):
+    """``small_run``'s stream with only covers 4, 9 and 15 evaluated and kept."""
+    return evaluate_covers(SamplePlan(target_case4_samples=small_run.n, seed=small_run.plan.seed),
+                           keep_theta=(15, 4, 9))
+
+
+def test_subset_evaluator_rows_match_full_evaluator():
+    full, subset = CoverEvaluator(), CoverEvaluator((4, 9, 15))
+    assert (len(full._table), len(subset._table), len(CoverEvaluator((4, 9))._table)) == (21, 10, 8)
+    assert subset.cover_ids == (4, 9, 15) and CoverEvaluator((15, 4, 9, 4)).cover_ids == (4, 9, 15)
+    for bad in ((0,), (4, 17)):
+        with pytest.raises(ValueError):
+            CoverEvaluator(bad)
+    (_, coeffs, _), = sample_case4(SamplePlan(target_case4_samples=5000, seed=8))
+    rng = np.random.default_rng(3)
+    for log_coeffs in (rng.uniform(-300.0, 300.0, coeffs.shape), np.log(coeffs)):
+        rows, mine = full.theta_sums(log_coeffs)[[3, 8, 14]], subset.theta_sums(log_coeffs)
+        assert np.array_equal(mine.view(np.uint64), rows.view(np.uint64))
+    # -c_m within 32 ulps of each seeded Theta sum: both evaluators give the same verdicts
+    neg_cm = rows * (1.0 + rng.integers(-32, 33, size=rows.shape) * 2.0**-52)
+    verdicts = mine >= neg_cm
+    assert np.array_equal(verdicts, rows >= neg_cm) and verdicts.any() and not verdicts.all()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_subset_run_matches_full_run(small_run, subset_run, threads):
+    ids = (4, 9, 15)
+    run = subset_run if threads == 1 else evaluate_covers(
+        SamplePlan(target_case4_samples=small_run.n, seed=small_run.plan.seed, threads=threads),
+        keep_theta=ids)
+    assert run.cover_ids == ids and list(run.mixed_theta) == list(ids)
+    assert (run.n, run.raw_draws) == (small_run.n, small_run.raw_draws)
+    # the subset's histogram is the full histogram with the other covers' bits dropped
+    projected = sum(((small_run.masks >> (cid - 1)) & 1) << j for j, cid in enumerate(ids))
+    histogram = np.bincount(projected, weights=small_run.mask_counts, minlength=8)
+    assert np.array_equal(run.masks, np.flatnonzero(histogram))
+    assert np.array_equal(run.mask_counts, histogram[histogram != 0])
+    assert np.array_equal(run.counts, small_run.counts[[cid - 1 for cid in ids]])
+    # a sample mixed for 3 covers is mixed for all 16: reclassifying the 16-cover rows
+    # against the 3 gives the 3-cover run bit for bit
+    always, mixed = experiment._classify([small_run.mixed_theta[cid] for cid in ids],
+                                         small_run.mixed_neg_cm)
+    assert run.n_always == small_run.n_always + always
+    assert np.array_equal(run.mixed_neg_cm.view(np.uint64), small_run.mixed_neg_cm[mixed].view(np.uint64))
+    for cid in ids:
+        assert np.array_equal(run.mixed_theta[cid].view(np.uint64),
+                              small_run.mixed_theta[cid][mixed].view(np.uint64))
+
+
+def test_reports_need_all_covers(subset_run, small_run):
+    with pytest.raises(ValueError):
+        compare_vs_baseline(subset_run, baseline=9)
+    with pytest.raises(ValueError):
+        containment_analysis(subset_run)
+    with pytest.raises(ValueError):
+        containment_analysis(small_run, threshold=-1)
 
 
 def _kept_bytes(plan, keep_theta):
@@ -362,9 +433,9 @@ def test_homotopy_rejects_uneven_step(small_run):
         simplicial_homotopy(small_run, 4, 9, 15, delta=0.3)
 
 
-def test_homotopy_requires_retained_theta(small_run):
+def test_homotopy_requires_retained_theta(subset_run):
     with pytest.raises(ValueError):
-        linear_homotopy(small_run, 1, 9)
+        linear_homotopy(subset_run, 1, 9)
 
 
 def _brute_linear(per_sample, a, b, dt):
@@ -426,7 +497,7 @@ def test_sweep_prune_exact_on_adversarial_thetas():
     with np.errstate(invalid="ignore", over="ignore"):
         n_always, mixed = experiment._classify(thetas, neg_cm)
         run = CoverHitMatrix(masks=np.zeros(1, dtype=np.int64), mask_counts=np.array([n]),
-                             raw_draws=0, plan=SamplePlan(), n_always=n_always,
+                             raw_draws=0, plan=SamplePlan(), cover_ids=(1, 2, 3), n_always=n_always,
                              mixed_theta={cid: theta[mixed] for cid, theta in zip((1, 2, 3), thetas)},
                              mixed_neg_cm=neg_cm[mixed])
         counts = experiment._sweep(run, (1, 2, 3), weights)
