@@ -40,11 +40,14 @@ from .model import (
     reduce,
 )
 from .experiment import (
+    DEFAULT_LINEAR_STEP,
+    DEFAULT_SIMPLICIAL_STEP,
     MAX_SWEEP_STEPS,
     MAX_THREADS,
     CoverEvaluator,
     SamplePlan,
     case4_eta_points,
+    case4_thetas,
     check_containment_threshold,
     compare_vs_baseline,
     containment_analysis,
@@ -62,6 +65,7 @@ EXIT_USAGE = 64
 
 BUILD_ID = f"hexcover-{__version__}"
 TABLE2_SCALE = 100.0  # relative-comparison ratios are reported as percentages
+MAX_POINTS = 14  # most points of an --points file; the number of pure covers grows exponentially
 _cover_evaluator = functools.cache(CoverEvaluator)  # built on first certify, then reused
 
 # plan flag (and config key) -> (SamplePlan field, type of a config value)
@@ -126,7 +130,7 @@ def _report(args, stem: str, n: int, header: dict, rows: list[str], fields: dict
 
 
 def _load_points_file(path: str):
-    """Point file: one 'x z' pair per line; the interior point prefixed with 'm'."""
+    """Point file: one 'x z' pair per line, at most ``MAX_POINTS``; the interior point prefixed with 'm'."""
     points, m = [], None
     with open(path) as fh:
         for line in fh:
@@ -145,6 +149,8 @@ def _load_points_file(path: str):
                 raise ValueError(f"{path}: more than one interior point line ('m x z')")
     if m is None:
         raise ValueError(f"{path}: no interior point line ('m x z')")
+    if len(points) > MAX_POINTS:
+        raise ValueError(f"{path}: {len(points)} points; at most {MAX_POINTS} can be enumerated")
     return point_configuration(points, m)
 
 
@@ -185,9 +191,11 @@ def cmd_enumerate(args) -> int:
 def _check_certify(args) -> None:
     """Parse the point and evaluate it; ValueError if a value that certify uses leaves float64.
 
-    a, b, the ten coefficients and c_m must be finite.  In case 4 every step
-    of the closed-form bounds must stay in float64 too; a coefficient that
-    rounds to 0 already fails cover 9's Theta sum there.
+    The coefficients come from one batch-of-one call of the Monte-Carlo
+    kernel, so a point gets the bits of its hit masks.  a, b, the ten
+    coefficients and c_m must be finite.  In case 4 the point also passes
+    ``case4_thetas``, the block task's check (no coefficient or c_m is 0),
+    and every closed-form bound must be finite.
     """
     given = [text for text in (args.kappa, args.eta, args.file) if text is not None]
     if len(given) != 1:
@@ -201,19 +209,20 @@ def _check_certify(args) -> None:
     else:
         raise ValueError(f"expected 12 or 8 positive reals, got {len(values)}")
     sc = args.case = classify(eta)  # ValueError when a or b is NaN
-    try:  # a Python float power, exp or quotient raises when it leaves float64
-        poly = hex_coefficients(eta, require_case4=False)
-        if not all(map(math.isfinite, (sc.a_value, sc.b_value, *poly.coeffs.values(), poly.c_m))):
-            raise ValueError("a, b, the coefficients and c_m must be finite in float64")
-        if sc.tag is Case.CASE4_A_POS_B_NEG:
-            args.bounds = [closed_form_bound(cid, eta) for cid in CLOSED_FORM_IDS]
+    try:  # numpy gives inf, NaN or 0 unwarned; a Python float power in a bound raises
+        with np.errstate(all="ignore"):  # a Theta sum beyond float64 prints as inf
+            coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
+            if not np.isfinite([sc.a_value, sc.b_value, *coeffs[:, 0], c_m[0]]).all():
+                raise ValueError("a, b, the coefficients and c_m must be finite in float64")
+            if sc.tag is not Case.CASE4_A_POS_B_NEG:
+                return
+            thetas, neg_cm = case4_thetas(_cover_evaluator(), coeffs, c_m)
+            bounds = [closed_form_bound(cid, eta) for cid in CLOSED_FORM_IDS]
     except ArithmeticError as exc:
         raise ValueError(f"a value is beyond float64: {exc}") from None
-    if sc.tag is Case.CASE4_A_POS_B_NEG:
-        # a batch of one through the Monte-Carlo kernel, so verdicts match its hit masks bit for bit
-        with np.errstate(all="ignore"):  # a Theta sum beyond float64 prints as inf, unwarned
-            coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
-            args.thetas, args.neg_cm = _cover_evaluator().theta_sums(np.log(coeffs))[:, 0], -c_m[0]
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError("a closed-form bound is not finite in float64")
+    args.thetas, args.neg_cm, args.bounds = thetas[:, 0], neg_cm[0], bounds
 
 
 def cmd_certify(args) -> int:
@@ -320,7 +329,7 @@ def _check_homotopy(args) -> None:
     for cid in ids:
         cover_fixture(cid)  # ValueError unless the id is in 1..16
     if args.delta is None:
-        args.delta = 0.05 if len(ids) == 2 else 1 / 16
+        args.delta = DEFAULT_LINEAR_STEP if len(ids) == 2 else DEFAULT_SIMPLICIAL_STEP
     sweep_steps(args.delta)
 
 

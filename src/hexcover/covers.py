@@ -73,16 +73,8 @@ def enumerate_pure_covers(points, m) -> list[PureCover]:
 
     hexagon = set(points) == set(HEXAGON_POSITIVE) and m == M
     id_map = {key: i for i, key in fixture_keys().items()} if hexagon else {}
-    result = []
-    for i, blocks in enumerate(covers):
-        key = _key_of_blocks(blocks, points)
-        result.append((key, blocks))
-    result.sort(key=lambda kv: kv[0])
-    out = []
-    for rank, (key, blocks) in enumerate(result, start=1):
-        cid = id_map.get(key, rank)
-        out.append(PureCover(cid, tuple(blocks)))
-    return out
+    keyed = sorted(((_key_of_blocks(blocks, points), blocks) for blocks in covers), key=lambda kv: kv[0])
+    return [PureCover(id_map.get(key, rank), blocks) for rank, (key, blocks) in enumerate(keyed, start=1)]
 
 
 def _key_of_blocks(blocks, points) -> str:
@@ -114,36 +106,29 @@ def parse_cover(key: str, id: int = 0) -> PureCover:
 
 
 @functools.cache
-def _parsed_fixture() -> dict[int, str]:
-    """The fixture file parsed once per process; callers must not mutate it."""
+def _fixture() -> dict[int, tuple[str, PureCover]]:
+    """id -> (canonical key, cover), parsed once per process; callers must not mutate it."""
     text = resources.files("hexcover.data").joinpath(FIXTURE_RESOURCE).read_text()
-    mapping: dict[int, str] = {}
+    fixture = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        sid, key = line.split(":")
-        mapping[int(sid)] = key.strip()
-    return mapping
+        sid, key = (part.strip() for part in line.split(":"))
+        fixture[int(sid)] = (key, parse_cover(key, int(sid)))
+    return fixture
 
 
 def fixture_keys() -> dict[int, str]:
-    """id -> canonical key mapping read from the reviewed fixture file."""
-    return dict(_parsed_fixture())
-
-
-@functools.cache
-def _fixture_covers() -> dict[int, PureCover]:
-    """The fixture covers by id, parsed once per process; PureCover and Simplex are frozen."""
-    return {i: parse_cover(key, i) for i, key in _parsed_fixture().items()}
+    """id -> canonical key mapping read from the reviewed fixture file, as a fresh dict."""
+    return {i: key for i, (key, _) in _fixture().items()}
 
 
 def cover_fixture(id: int) -> PureCover:
     """The labeled pure cover CC(id), id in 1..16."""
-    covers = _fixture_covers()
-    if id not in covers:
+    if id not in _fixture():
         raise ValueError(f"cover id must be in 1..16, got {id}")
-    return covers[id]
+    return _fixture()[id][1]
 
 
 def all_covers() -> list[PureCover]:

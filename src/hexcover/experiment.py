@@ -1,10 +1,10 @@
 """Seeded Monte-Carlo comparison of the 16 pure covers.
 
 Rate constants are drawn uniformly from (0, N]^12, reduced to eta, and kept
-when they land in case 4 (a > 0, b < 0).  Each accepted sample is tested
-against the certificate Theta-sum >= -c_m of every cover the run evaluates,
-giving a hit mask with one bit per cover: all 16 for the tables, only the
-swept 2 or 3 for a homotopy.  Ratios, the baseline comparison and the
+only in case 4 (a > 0, b < 0).  ``case4_thetas``, which ``certify`` also runs,
+checks each sample in float64 and gives its certificate Theta-sum >= -c_m for
+every cover the run evaluates, hence a hit mask with one bit per cover: all
+16 for the tables, only the swept 2 or 3 for a homotopy.  Ratios, the baseline comparison and the
 containment poset depend only on how often each mask occurs, so a run keeps
 only the histogram of the masks; homotopies keep Theta sums only of samples
 a sweep can flip.
@@ -39,6 +39,8 @@ RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of thread
 LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
 MAX_THREADS = 64  # most worker threads a plan may ask for
 MAX_SWEEP_STEPS = 1000  # most grid steps per side of a homotopy sweep
+DEFAULT_LINEAR_STEP = 0.05  # grid step of a linear homotopy unless one is given
+DEFAULT_SIMPLICIAL_STEP = 1 / 16  # grid step of a simplicial homotopy unless one is given
 BOX_RANGE = (2.0**-99, 2.0**150)  # box sizes whose case-4 values stay normal; see SamplePlan
 _draws = threading.local()  # each thread's reused (12, RAW_BLOCK) draw buffer
 
@@ -127,14 +129,13 @@ class CoverEvaluator:
         return np.stack([sum(thetas[r] for r in rows) for rows in self._cover_rows])
 
 
-def classified_block(seed: int, block: int, box_size: float, case: str):
-    """Accepted samples of one raw block as (eta, a, b), eta of shape (8, k).
+def classified_block(seed: int, block: int, box_size: float):
+    """The case-4 samples (a > 0, b < 0) of one raw block as (eta, a, b), eta of shape (8, k).
 
-    Draws use kappa = N*(1-U) so every component is strictly positive.
-    ``case`` "case4" keeps a > 0, b < 0; "case2" keeps a < 0.  kappa lives in
-    the thread's one draw buffer, so no block re-faults its pages; each eta
-    row, a and b is compressed once by the accepted indices, and no returned
-    array aliases the buffer.
+    Draws use kappa = N*(1-U) so every component is strictly positive.  kappa
+    lives in the thread's one draw buffer, so no block re-faults its pages;
+    each eta row, a and b is compressed once by the accepted indices, and no
+    returned array aliases the buffer.
     """
     rng = Generator(Philox(key=[np.uint64(seed), np.uint64(block)]))
     if (kappa := getattr(_draws, "kappa", None)) is None:
@@ -145,12 +146,7 @@ def classified_block(seed: int, block: int, box_size: float, case: str):
         kappa *= box_size
     rows = _reduced(kappa)
     a, b = ab_values(rows)
-    if case == "case4":
-        accepted = np.flatnonzero(is_case4(a, b))
-    elif case == "case2":
-        accepted = np.flatnonzero(a < 0)
-    else:
-        raise ValueError(f"unknown case filter {case!r}")
+    accepted = np.flatnonzero(is_case4(a, b))
     eta = np.empty((8, accepted.size))
     for row, out in zip(rows, eta):
         row.take(accepted, out=out)
@@ -161,6 +157,17 @@ def hex_coefficient_arrays(eta: np.ndarray, a: np.ndarray, b: np.ndarray):
     """(10, k) coefficient array in canonical point order plus c_m array."""
     cmap, c_m = _raw_hex_coefficients(*eta, a, b)
     return np.stack([cmap[p] for p in HEXAGON_POSITIVE]), c_m
+
+
+def case4_thetas(evaluator: CoverEvaluator, coeffs: np.ndarray, c_m: np.ndarray):
+    """(Theta sums, -c_m) of case-4 samples: a Monte-Carlo block or a ``certify`` point.
+
+    FloatingPointError unless every coefficient and c_m is finite and
+    nonzero, which no sample of a box in ``BOX_RANGE`` fails (see SamplePlan).
+    """
+    if not all(np.isfinite(values).all() and values.all() for values in (coeffs, c_m)):
+        raise FloatingPointError("a coefficient or c_m is 0 or not finite in float64")
+    return evaluator.theta_sums(np.log(coeffs)), -c_m
 
 
 def _accepted_blocks(plan: SamplePlan, task):
@@ -199,19 +206,19 @@ def _accepted_blocks(plan: SamplePlan, task):
             pool.shutdown(cancel_futures=True)
 
 
-def _sample_block(plan: SamplePlan, case: str, block: int):
-    """``sample_case4``'s block task: (eta, coeffs, c_m) of one raw block's accepted samples."""
-    eta, a, b = classified_block(plan.seed, block, plan.box_size, case)
+def _sample_block(plan: SamplePlan, block: int):
+    """``sample_case4``'s block task: (eta, coeffs, c_m) of one raw block's case-4 samples."""
+    eta, a, b = classified_block(plan.seed, block, plan.box_size)
     return (eta, *hex_coefficient_arrays(eta, a, b))
 
 
-def sample_case4(plan: SamplePlan, case: str = "case4") -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Stream accepted samples as (eta, coeffs, c_m), one item per raw block.
+def sample_case4(plan: SamplePlan) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Stream case-4 samples as (eta, coeffs, c_m), one item per raw block.
 
     Fully deterministic in ``plan.seed``: blocks come in counter order and
     exactly ``target_case4_samples`` samples are emitted in total.
     """
-    return _accepted_blocks(plan, functools.partial(_sample_block, plan, case))
+    return _accepted_blocks(plan, functools.partial(_sample_block, plan))
 
 
 @dataclass
@@ -278,12 +285,9 @@ def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
     bits = 1 << np.arange(len(ids))
 
     def task(block):
-        _, coeffs, c_m = _sample_block(plan, "case4", block)
-        for values in (coeffs, c_m):  # never for a box in BOX_RANGE, see SamplePlan
-            if not (np.isfinite(values).all() and values.all()):
-                raise FloatingPointError(f"raw block {block}: a coefficient or c_m is 0 or not finite")
-        theta = evaluator.theta_sums(np.log(coeffs))
-        return bits @ (theta >= -c_m), theta[:kept_rows], -c_m
+        _, coeffs, c_m = _sample_block(plan, block)
+        theta, neg_cm = case4_thetas(evaluator, coeffs, c_m)
+        return bits @ (theta >= neg_cm), theta[:kept_rows], neg_cm
     histogram, n_always, kept = np.zeros(1 << len(ids), dtype=np.int64), 0, [np.empty((kept_rows + 1, 0))]
     for blocks, (mask, theta, neg_cm) in enumerate(_accepted_blocks(plan, task), 1):
         histogram += np.bincount(mask, minlength=histogram.size)
@@ -478,7 +482,7 @@ def _sweep(matrix: CoverHitMatrix, cover_ids, weights) -> list[int]:
     return [matrix.n_always + _hits(w, thetas, matrix.mixed_neg_cm) for w in weights]
 
 
-def linear_homotopy(matrix: CoverHitMatrix, a: int, b: int, dt: float = 0.05) -> HomotopyCurve:
+def linear_homotopy(matrix: CoverHitMatrix, a: int, b: int, dt: float = DEFAULT_LINEAR_STEP) -> HomotopyCurve:
     """Hit ratios of (1-t)*Theta(a) + t*Theta(b) >= -c_m on the stored stream."""
     steps = sweep_steps(dt)
     ts = [k / steps for k in range(steps + 1)]
@@ -487,7 +491,7 @@ def linear_homotopy(matrix: CoverHitMatrix, a: int, b: int, dt: float = 0.05) ->
 
 
 def simplicial_homotopy(matrix: CoverHitMatrix, a: int, b: int, c: int,
-                        delta: float = 1 / 16) -> HomotopyCurve:
+                        delta: float = DEFAULT_SIMPLICIAL_STEP) -> HomotopyCurve:
     """Ratios of s*Theta(a) + t*Theta(b) + (1-s-t)*Theta(c) over the triangle grid.
 
     1-s-t is clamped at 0: on the hypotenuse it can round to -2^-53.

@@ -189,7 +189,7 @@ def _grid_extrema(coeffs, c_m, grid_pts=100):
     return rel.min(axis=1)
 
 
-def test_criterion_09_soundness():
+def test_criterion_09_soundness(case2_etas):
     n = 10_000
     plan = SamplePlan(target_case4_samples=n + 2000, seed=SEED + 2)
     evaluator = CoverEvaluator()
@@ -205,13 +205,12 @@ def test_criterion_09_soundness():
 
     neg_found = 0
     total2 = 0
-    plan2 = SamplePlan(target_case4_samples=n, seed=SEED + 3)
-    for eta2, _, _ in sample_case4(plan2, case="case2"):
-        coeffs2, c_m2 = hex_coefficient_arrays(eta2, *ab_values(eta2))
-        for lo in range(0, eta2.shape[1], 500):
-            mins = _grid_extrema(coeffs2[:, lo:lo + 500], c_m2[lo:lo + 500])
-            neg_found += int((mins < 0).sum())
-            total2 += mins.size
+    eta2 = case2_etas(SEED + 3, n)
+    coeffs2, c_m2 = hex_coefficient_arrays(eta2, *ab_values(eta2))
+    for lo in range(0, n, 500):
+        mins = _grid_extrema(coeffs2[:, lo:lo + 500], c_m2[lo:lo + 500])
+        neg_found += int((mins < 0).sum())
+        total2 += mins.size
     case2_ok = neg_found / total2 >= 0.99
     ok = certified_ok and case2_ok
     report(9, ok, f"certified grid min (relative) {worst:.2e}; "

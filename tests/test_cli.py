@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report formats, and configuration precedence."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hexcover import experiment
 from hexcover.cli import EXIT_MULTISTATIONARY, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE, main
 from hexcover.experiment import CoverEvaluator, SamplePlan, evaluate_covers, sample_case4
 
@@ -67,6 +69,54 @@ def test_certify_case4_verdicts(capsys):
     assert "CC(15):" in out and "bound CC(15):" in out
 
 
+# exit code and SHA-256 of stdout of the test_certify_* points, as printed while
+# certify still evaluated the scalar coefficients
+CERTIFY_OUTPUT = {
+    ("--kappa", ",".join(["1"] * 12)):
+        (EXIT_OK, "dff3008e5791d059dc8e26452e890af88ce19f05bceb218910c40245cda4d7d5"),
+    ("--eta", "1,1,1,1,1,2,2,1"):
+        (EXIT_MULTISTATIONARY, "8d4c18b4b44a26945396f57fa661fcdb3b6e2467382584d76cf4c30ef8f4bc21"),
+    ("--eta", "3,1,1,3,1,1,1,1"):
+        (EXIT_UNDETERMINED, "8b92fb18ba3b97088c006aa4e71431f8874994a4be7d13374a0abe1a37396dae"),
+    ("--eta", "5,1,1,5,2,1,1,1"):
+        (EXIT_OK, "1deec53d3da3950724ed2f54734ba475e6928ee9a1049d961e42d170cb96a36c"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CERTIFY_OUTPUT), ids=" ".join)
+def test_certify_takes_one_batch_coefficient_call_and_no_scalar_one(monkeypatch, capsys, argv):
+    import hexcover.cli as cli
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("certify must not evaluate the scalar coefficients")
+
+    shapes, batch = [], cli.hex_coefficient_arrays
+
+    def counted(eta, a, b):
+        shapes.append(eta.shape)
+        return batch(eta, a, b)
+
+    monkeypatch.setattr(cli, "hex_coefficients", scalar)
+    monkeypatch.setattr(cli, "hex_coefficient_arrays", counted)
+    code, out, err = run(capsys, "certify", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CERTIFY_OUTPUT[argv]
+    assert err == "" and shapes == [(8, 1)]
+
+
+def test_one_float64_check_rejects_in_block_tasks_and_certify(monkeypatch, capsys):
+    import hexcover.cli as cli
+
+    def rejected(evaluator, coeffs, c_m):
+        raise FloatingPointError("planted rejection")
+
+    monkeypatch.setattr(experiment, "case4_thetas", rejected)
+    monkeypatch.setattr(cli, "case4_thetas", rejected)
+    with pytest.raises(FloatingPointError, match="planted"):
+        evaluate_covers(SamplePlan(target_case4_samples=100, seed=1))
+    code, out, err = run(capsys, "certify", "--eta", "5,1,1,5,2,1,1,1")
+    assert code == EXIT_USAGE and out == "" and "planted rejection" in err
+
+
 def test_certify_usage_errors(capsys):
     assert run(capsys, "certify")[0] == EXIT_USAGE
     assert run(capsys, "certify", "--kappa", "1,2,3")[0] == EXIT_USAGE
@@ -85,6 +135,12 @@ def test_certify_from_file(tmp_path, capsys):
 @example([5e300, 1, 1, 5e300, 2, 1, 1, 1])  # K1**3 overflows a Python float
 @example([3.3e46, 3.5e3, 2.8e-46, 2.2e199, 3.1e-113, 4e-36, 2.5e7, 3.3e144])  # only a bound overflows
 @example([8.71e-263, 2.94e-285, 3.93e-101, 7.13e294, 1.71e136, 4.35e-44, 4.27e-181, 8.5e-228])  # a1 -> 0
+@example([9.978739463419164, 5.037304511619533e+42, 3.565423990054037e+31, 2.6208598931223373e+136,
+          7.55359607420531e-33, 3.531386736407933e-33, 5.8525084083385215e+68,
+          1.3607526759315857e+91])  # a product in bound 4 overflows to inf; no cover certifies
+@example([1.1299563566652741e+47, 8.36404227860795e-145, 140.95454771909428, 6.888563398818462e+133,
+          1.3623151349567593e+57, 3.7767520808652375e-30, 4.704038721952299e+56,
+          3.1490227253111694e+31])  # bounds 10 and 12 overflow to inf; covers certify
 @settings(max_examples=300, deadline=None)
 def test_certify_eta_always_ends_in_an_exit_code(eta):
     out, err = io.StringIO(), io.StringIO()
@@ -95,6 +151,9 @@ def test_certify_eta_always_ends_in_an_exit_code(eta):
         assert out.getvalue() == "" and len(err.getvalue().strip().splitlines()) == 1
     else:
         assert err.getvalue() == ""
+        # a Theta sum beyond float64 prints as inf, but a printed bound is always finite
+        bounds = [float(line.split()[2]) for line in out.getvalue().splitlines() if line.startswith("bound ")]
+        assert all(map(math.isfinite, bounds)), out.getvalue()
 
 
 _FLOAT_LISTS = st.lists(st.floats(min_value=1e-300, max_value=1e300)
@@ -275,6 +334,7 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
     ["enumerate", "--points", "{tmp}/missing.txt"], ["enumerate", "--points", "{tmp}/no_m.txt"],
     ["enumerate", "--points", "{tmp}/short_line.txt"], ["enumerate", "--points", "{tmp}/repeated.txt"],
     ["enumerate", "--points", "{tmp}/extra_numbers.txt"], ["enumerate", "--points", "{tmp}/two_m.txt"],
+    ["enumerate", "--points", "{tmp}/fifteen_points.txt"],
     ["table1", "--config", "{tmp}/unknown_key.txt"],
     ["table1", "--box", "1e-100"], ["table2", "--box", "1e-200"], ["containment", "--box", "1e200"],
     ["homotopy", "--covers", "4,9", "--box", "1e-100"],
@@ -299,6 +359,9 @@ def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, ar
     (tmp_path / "repeated.txt").write_text("4 2\n4 2\nm 2 1\n")
     (tmp_path / "extra_numbers.txt").write_text("4 2 7\nm 2 1 5\n")
     (tmp_path / "two_m.txt").write_text("4 2\n2 0\n0 1\n0 0\nm 2 1\nm 9 9\n")
+    # 15 points on a ring around m; the cover count grows exponentially with the points
+    ring = [(round(20 * math.cos(k * math.pi / 7.5)), round(20 * math.sin(k * math.pi / 7.5))) for k in range(15)]
+    (tmp_path / "fifteen_points.txt").write_text("".join(f"{x} {z}\n" for x, z in ring) + "m 0 0\n")
     (tmp_path / "unknown_key.txt").write_text("seeds=7\n")
     (tmp_path / "point.txt").write_text("5 1 1 5 2 1 1 1\n")
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

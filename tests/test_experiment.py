@@ -1,5 +1,6 @@
 """Sampling determinism, cover evaluation, and derived statistics."""
 
+import hashlib
 import math
 import resource
 import sys
@@ -9,7 +10,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
 
 from hexcover import experiment
 from hexcover.circuits import cover_theta_sum
@@ -24,6 +24,7 @@ from hexcover.experiment import (
     SamplePlan,
     binomial_sigma,
     case4_eta_points,
+    case4_thetas,
     classified_block,
     compare_vs_baseline,
     containment_analysis,
@@ -37,8 +38,8 @@ from hexcover.geometry import HEXAGON_POSITIVE
 from hexcover.model import _reduced, ab_values, is_case4
 
 
-def collect_etas(plan, case="case4"):
-    return np.concatenate([eta for eta, _, _ in sample_case4(plan, case)], axis=1)
+def collect_etas(plan):
+    return np.concatenate([eta for eta, _, _ in sample_case4(plan)], axis=1)
 
 
 def per_sample_masks(plan):
@@ -83,37 +84,51 @@ def test_sample_count_is_exact():
 
 def test_draws_strictly_positive_and_in_box():
     for box in (0.1, 10.0):
-        eta, a, b = classified_block(seed=0, block=0, box_size=box, case="case4")
+        eta, a, b = classified_block(seed=0, block=0, box_size=box)
         assert (a > 0).all() and (b < 0).all()
         # the pass-through rate constants live in (0, box]
         for row in (4, 5, 6, 7):
             assert (eta[row] > 0).all() and (eta[row] <= box).all()
 
 
-def _stacked_block(seed, block, box_size, case):
-    """The raw block's accepted samples the way the stacked path computed them, as a reference."""
-    kappa = 1.0 - Generator(Philox(key=[np.uint64(seed), np.uint64(block)])).random((12, RAW_BLOCK))
-    kappa *= box_size
-    eta = np.stack(_reduced(kappa))
-    a, b = ab_values(eta)
-    mask = is_case4(a, b) if case == "case4" else a < 0
-    return eta[:, mask], a[mask], b[mask]
-
-
-@pytest.mark.parametrize("case", ["case4", "case2"])
+@pytest.mark.parametrize("case", ["case4"])  # the sampler keeps no other case
 @pytest.mark.parametrize("box", [1.0, 3.7, 2.0**-99, 2.0**150])
-def test_classified_block_matches_stacked_reference(case, box):
+def test_classified_block_matches_stacked_reference(stacked_block, case, box):
     for block in range(4):
-        got, want = classified_block(7, block, box, case), _stacked_block(7, block, box, case)
+        got, want = classified_block(7, block, box), stacked_block(7, block, box, case)
         for x, y in zip(got, want):
             assert x.shape == y.shape and x.flags.c_contiguous
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+# SHA-256 of the first 10,000 case-2 eta columns at seed 45 (criterion 9's), as drawn
+# by the sampler's former case-2 filter, recorded before that filter was removed
+CASE2_SHA256 = "fa031afd49c1f06909c96c5628e2ee2855d4524c9e27c88ea6a9c86bbdc4203d"
+
+
+def test_case2_helper_reproduces_the_former_case2_stream(case2_etas):
+    eta = case2_etas(45, 10_000)
+    assert eta.shape == (8, 10_000) and (ab_values(eta)[0] < 0).all()
+    assert hashlib.sha256(eta.tobytes()).hexdigest() == CASE2_SHA256
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+def test_case4_thetas_rejects_values_outside_float64(bad):
+    (_, coeffs, c_m), = sample_case4(SamplePlan(target_case4_samples=100, seed=3))
+    evaluator = CoverEvaluator()
+    theta, neg_cm = case4_thetas(evaluator, coeffs, c_m)
+    assert np.array_equal(theta, evaluator.theta_sums(np.log(coeffs))) and np.array_equal(neg_cm, -c_m)
+    column = np.arange(100) == 7
+    with pytest.raises(FloatingPointError):
+        case4_thetas(evaluator, np.where(column, bad, coeffs), c_m)
+    with pytest.raises(FloatingPointError):
+        case4_thetas(evaluator, coeffs, np.where(column, bad, c_m))
+
+
 def test_acceptance_rate_scale_invariant():
     rates = []
     for box in (0.1, 1.0, 10.0, 100.0):
-        accepted = sum(classified_block(0, blk, box, "case4")[1].size for blk in range(4))
+        accepted = sum(classified_block(0, blk, box)[1].size for blk in range(4))
         rates.append(accepted / (4 * RAW_BLOCK))
     p = rates[1]
     sigma = binomial_sigma(p, 4 * RAW_BLOCK)
@@ -147,12 +162,12 @@ def test_pool_does_not_run_cancelled_lookahead(monkeypatch):
     calls, released = [], threading.Event()
     original = experiment.classified_block
 
-    def counted(seed, block, box_size, case):
+    def counted(seed, block, box_size):
         calls.append(block)
         if block >= needed:
             # hold each unneeded block so the look-ahead cannot drain before the stream closes
             released.wait(timeout=1.0)
-        return original(seed, block, box_size, case)
+        return original(seed, block, box_size)
 
     monkeypatch.setattr(experiment, "classified_block", counted)
     try:
@@ -167,9 +182,9 @@ def test_lookahead_draws_only_needed_blocks(monkeypatch):
     calls = []
     original = experiment.classified_block
 
-    def counted(seed, block, box_size, case):
+    def counted(seed, block, box_size):
         calls.append(block)
-        return original(seed, block, box_size, case)
+        return original(seed, block, box_size)
 
     monkeypatch.setattr(experiment, "classified_block", counted)
     run = evaluate_covers(SamplePlan(target_case4_samples=100_000, seed=5, threads=4))
@@ -333,7 +348,7 @@ def test_serial_run_reuses_its_pages():
 
 
 def test_classified_blocks_of_one_thread_share_no_memory():
-    first, second = classified_block(0, 0, 1.0, "case4"), classified_block(0, 1, 1.0, "case4")
+    first, second = classified_block(0, 0, 1.0), classified_block(0, 1, 1.0)
     for x in first:
         for y in second:
             assert not np.shares_memory(x, y)

@@ -106,7 +106,7 @@ def test_case4_rule_never_holds_for_nan(monkeypatch):
 
     tiled_a, tiled_b = (np.resize([p[i] for p in pairs], RAW_BLOCK) for i in (0, 1))
     monkeypatch.setattr(experiment, "ab_values", lambda eta: (tiled_a, tiled_b))
-    _, a, b = classified_block(1, 0, 1.0, "case4")
+    _, a, b = classified_block(1, 0, 1.0)
     assert not (np.isnan(a).any() or np.isnan(b).any())
     assert a.size == np.count_nonzero([x > 0 and y < 0 for x, y in zip(tiled_a, tiled_b)])
 
@@ -181,24 +181,15 @@ def test_case1_positive_everywhere():
         assert eval_p_eta(eta, x1, x2, x3) > 0.0
 
 
-def test_case2_attains_negative_values():
+def test_case2_attains_negative_values(case2_etas):
     grid = np.logspace(-4, 4, 100)
     x1, x3 = np.meshgrid(grid, grid, indexing="ij")
     found = 0
-    for eta in _case2_points(20):
-        coeffs = hex_coefficients(eta, require_case4=False)
+    for column in case2_etas(8, 20).T:
+        coeffs = hex_coefficients(EtaPoint(*map(float, column)), require_case4=False)
         if eval_hex_poly(coeffs, x1, x3).min() < 0:
             found += 1
     assert found >= 19  # grid-resolution misses are rare
-
-
-def _case2_points(n):
-    from hexcover.experiment import SamplePlan, sample_case4
-
-    out = []
-    for eta, _, _ in sample_case4(SamplePlan(target_case4_samples=n, seed=8), case="case2"):
-        out.extend(EtaPoint(*map(float, eta[:, j])) for j in range(eta.shape[1]))
-    return out[:n]
 
 
 def test_eval_p_eta_rejects_nonpositive_x():
@@ -261,7 +252,7 @@ def test_certificate_scale_invariance():
 
 
 def test_scalar_c_m_matches_batch_bits():
-    eta, a, b = classified_block(seed=11, block=0, box_size=1.0, case="case4")
+    eta, a, b = classified_block(seed=11, block=0, box_size=1.0)
     _, c_m = hex_coefficient_arrays(eta, a, b)
     scalar = [hex_coefficients(EtaPoint(*map(float, eta[:, j]))).c_m for j in range(eta.shape[1])]
     assert np.array_equal(np.array(scalar), c_m)
