@@ -6,9 +6,10 @@ interior.  Its circuit number Theta = prod_i (c_i / lambda_i)**lambda_i decides
 nonnegativity on the positive orthant: the polynomial is nonnegative iff
 -c_beta <= Theta.
 
-Theta is evaluated as exp(const + sum_i lambda_i log c_i); the float lambdas
-and const = -sum_i lambda_i log lambda_i of each simplex are compiled once and
-shared by ``circuit_number`` and the batch kernel ``experiment.CoverEvaluator``.
+Theta has one expression, ``theta_rows``: exp(const + sum_i lambda_i log c_i)
+in numpy, with the lambdas and const = -sum_i lambda_i log lambda_i of each
+simplex compiled once.  ``experiment.CoverEvaluator`` and ``circuit_number``,
+a batch of one, both run it, so a circuit number has the same bits on both.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .geometry import M, LatticePoint, Simplex, barycentric_coordinates
 
@@ -60,14 +63,15 @@ def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[f
     return lams, -sum(l * math.log(l) for l in lams)
 
 
-def circuit_number(c: CircuitSupport) -> float:
-    """Theta = prod (c_i / lambda_i)**lambda_i, evaluated in log space.
+def theta_rows(lams, const, log_rows):
+    """exp(const + lams[0]*log_rows[0] + ...) left to right; a row is an array or one float64."""
+    return np.exp(sum((l * row for l, row in zip(lams, log_rows)), const))
 
-    The log-space form exp(const + sum lambda_i ln c_i) avoids overflow for
-    coefficients spanning many orders of magnitude.
-    """
+
+def circuit_number(c: CircuitSupport) -> float:
+    """Theta = prod (c_i / lambda_i)**lambda_i: ``theta_rows`` on a batch of one."""
     lams, const = _compiled_simplex(c.simplex, c.interior)
-    return math.exp(sum((l * math.log(c.positive_coeffs[v]) for v, l in zip(c.simplex, lams)), const))
+    return float(theta_rows(lams, const, [np.log(c.positive_coeffs[v]) for v in c.simplex]))
 
 
 def is_nonnegative(c: CircuitSupport) -> bool:
@@ -108,20 +112,23 @@ WEIGHT_TOL = 1e-12  # slack of the WeightedCover invariants
 class WeightedCover:
     """Convex-combination splitting of vertex coefficients across several covers.
 
-    ``covers`` holds pure covers or plain simplex lists; ``weights`` maps
-    (cover index, point) to a weight in [0, 1].  For every point used by more
-    than zero covers the weights must sum to 1, within ``WEIGHT_TOL``.
+    ``covers`` holds pure covers or plain simplex lists; ``weights`` maps (cover
+    index, one of its points) to a weight in [0, 1], a missing one reading as 1;
+    at each point the weights of the covers using it sum to 1 within ``WEIGHT_TOL``.
     """
 
     covers: tuple
     weights: Mapping[tuple[int, LatticePoint], float]
 
     def __post_init__(self):
-        totals: dict[LatticePoint, float] = {}
+        used = [{v for s in getattr(cover, "simplices", cover) for v in s.vertices} for cover in self.covers]
         for (i, v), w in self.weights.items():
-            if w < -WEIGHT_TOL:
-                raise ValueError(f"negative weight {w} at cover {i}, point {v}")
-            totals[v] = totals.get(v, 0.0) + w
+            if not (0 <= i < len(used) and v in used[i]) or w < -WEIGHT_TOL:
+                raise ValueError(f"weight {w} at cover {i}, point {v}: negative or not a point of the cover")
+        totals: dict[LatticePoint, float] = {}
+        for i, points in enumerate(used):
+            for v in points:
+                totals[v] = totals.get(v, 0.0) + self.weights.get((i, v), 1.0)
         for v, t in totals.items():
             if abs(t - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"weights at {v} sum to {t}, expected 1")
@@ -136,8 +143,7 @@ def weighted_theta_sum(w: WeightedCover, coeffs: Mapping[LatticePoint, float]) -
     """
     total = 0.0
     for i, cover in enumerate(w.covers):
-        simplices = getattr(cover, "simplices", cover)
-        for s in simplices:
+        for s in getattr(cover, "simplices", cover):
             eff = {v: w.weights.get((i, v), 1.0) * coeffs[v] for v in s.vertices}
             if any(c <= 0 for c in eff.values()):
                 continue  # limit contribution is exactly zero

@@ -4,10 +4,12 @@ Rate constants are drawn uniformly from (0, N]^12, reduced to eta, and kept
 only in case 4 (a > 0, b < 0).  ``case4_thetas``, which ``certify`` also runs,
 checks each sample in float64 and gives its certificate Theta-sum >= -c_m for
 every cover the run evaluates, hence a hit mask with one bit per cover: all
-16 for the tables, only the swept 2 or 3 for a homotopy.  Ratios, the baseline comparison and the
-containment poset depend only on how often each mask occurs, so a run keeps
-only the histogram of the masks; homotopies keep Theta sums only of samples
-a sweep can flip.
+16 for the tables, only the swept 2 or 3 for a homotopy.  The scalar API runs
+the same coefficient and Theta kernels on a batch of one, so a single point
+gets its sample's bits.  Ratios, the baseline comparison and the containment
+poset depend only on how often each mask occurs, so a run keeps only the
+histogram of the masks; homotopies keep Theta sums only of samples a sweep
+can flip.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block
 index) over fixed-size raw blocks.  A raw block is the unit of work: a
@@ -31,9 +33,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .covers import all_covers, cover_fixture
-from .geometry import HEXAGON_POSITIVE, M, POINT_INDEX
-from .model import EtaPoint, _raw_hex_coefficients, _reduced, ab_values, is_case4
-from .circuits import _compiled_simplex
+from .geometry import M, POINT_INDEX
+from .model import EtaPoint, _reduced, ab_values, hex_coefficient_arrays, is_case4
+from .circuits import _compiled_simplex, theta_rows
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
 LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
@@ -104,10 +106,9 @@ class CoverEvaluator:
     holds them in id order without repeats.  The 16 covers use 66 simplex
     blocks but only 21 distinct simplices, and an evaluator compiles only
     those of its own covers (10 for covers 4, 9 and 15).  Each is evaluated
-    once, elementwise, as exp(const + lambda_0*L[i0] + lambda_1*L[i1]
-    (+ lambda_2*L[i2])) with lambdas and const from ``_compiled_simplex``, so
-    a sample gets the same bits in any batch and from any evaluator; a single
-    point is a batch of one.
+    once, elementwise, by ``circuits.theta_rows`` on one row of the log
+    coefficients per vertex, so a sample gets the same bits in any batch,
+    from any evaluator and from ``circuit_number``.
     """
 
     def __init__(self, cover_ids=range(1, 17)):
@@ -124,7 +125,7 @@ class CoverEvaluator:
 
     def theta_sums(self, log_coeffs: np.ndarray) -> np.ndarray:
         """(covers, k) Theta sums from a (10, k) array of log coefficients."""
-        thetas = [np.exp(sum((l * log_coeffs[i] for i, l in zip(idx, lams)), const))
+        thetas = [theta_rows(lams, const, [log_coeffs[i] for i in idx])
                   for idx, lams, const in self._table]
         return np.stack([sum(thetas[r] for r in rows) for rows in self._cover_rows])
 
@@ -151,12 +152,6 @@ def classified_block(seed: int, block: int, box_size: float):
     for row, out in zip(rows, eta):
         row.take(accepted, out=out)
     return eta, a[accepted], b[accepted]
-
-
-def hex_coefficient_arrays(eta: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """(10, k) coefficient array in canonical point order plus c_m array."""
-    cmap, c_m = _raw_hex_coefficients(*eta, a, b)
-    return np.stack([cmap[p] for p in HEXAGON_POSITIVE]), c_m
 
 
 def case4_thetas(evaluator: CoverEvaluator, coeffs: np.ndarray, c_m: np.ndarray):
@@ -505,10 +500,7 @@ def simplicial_homotopy(matrix: CoverHitMatrix, a: int, b: int, c: int,
 def case4_eta_points(n: int, seed: int = 0, box_size: float = 1.0):
     """The first n accepted case-4 samples of a stream, as EtaPoint objects."""
     plan = SamplePlan(box_size=box_size, target_case4_samples=n, seed=seed)
-    points = []
-    for eta, _, _ in sample_case4(plan):
-        points.extend(EtaPoint(*map(float, eta[:, j])) for j in range(eta.shape[1]))
-    return points
+    return [EtaPoint(*column) for eta, _, _ in sample_case4(plan) for column in eta.T.tolist()]
 
 
 def binomial_sigma(p: float, n: int) -> float:

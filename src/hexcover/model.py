@@ -5,7 +5,9 @@ eta = (K1..K4, k3, k6, k9, k12) via the Michaelis-Menten constants.  The signs
 of a(eta) and b(eta) split parameter space into four cases; in case 4 the
 restricted polynomial on the hexagonal face has ten positive coefficients and
 one negative coefficient at m = (2, 1), and each circuit cover yields a
-sufficient certificate of nonnegativity (hence monostationarity).
+sufficient certificate of nonnegativity (hence monostationarity).  The
+coefficient formulas run only in ``hex_coefficient_arrays``, on a batch of one
+for a single point, so a point and its Monte-Carlo sample get the same bits.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuits import cover_theta_sum
-from .geometry import (
-    A1, A2, A3, A4, A5, A6, B1, B2, I1, I2,
-    HEXAGON_POSITIVE,
-    LatticePoint,
-)
+from .covers import cover_fixture
+from .geometry import A1, A2, A3, A4, A5, A6, B1, B2, HEXAGON_POSITIVE, I1, I2, LatticePoint
 
 
 @dataclass(frozen=True)
@@ -139,26 +140,28 @@ class HexCoefficients:
     c_m: float
 
 
-def _raw_hex_coefficients(K1, K2, K3, K4, k3, k6, k9, k12, a, b):
-    """Shared scalar/array coefficient formulas: the ten positive ones by point, and c_m.
+def hex_coefficient_arrays(eta, a, b):
+    """(10, k) positive coefficients in ``HEXAGON_POSITIVE`` order and c_m, of an (8, k) eta.
 
-    Works with floats or numpy arrays alike; the keys follow the canonical
-    hexagon point order.  c_m is multiplied left to right as
-    b*K1*K2*K3*k3*k6*k12, so a point gets the same bits on both paths.
+    ``a`` and ``b`` are eta's ``ab_values``.  Each power is taken once; every
+    product runs left to right, c_m as b*K1*K2*K3*k3*k6*k12.
     """
-    coeffs = {
-        A1: K1**3 * K3**2 * k6**3 * k12**2,
-        A2: K1**2 * K2 * K3 * K4 * k3 * k6**2 * k9 * k12,
-        A3: K1 * K2**2 * K4 * k3**2 * k6 * k9**2,
-        A4: a * K2**2 * K4 * k3**2 * k9,
+    K1, K2, K3, K4, k3, k6, k9, k12 = eta
+    K1_2, K2_2, K3_2, _, k3_2, k6_2, k9_2, k12_2 = eta**2
+    k6_3 = k6**3
+    by_point = {
+        A1: K1**3 * K3_2 * k6_3 * k12_2,
+        A2: K1_2 * K2 * K3 * K4 * k3 * k6_2 * k9 * k12,
+        A3: K1 * K2_2 * K4 * k3_2 * k6 * k9_2,
+        A4: a * K2_2 * K4 * k3_2 * k9,
         A5: a * K1 * K2 * K3 * k3 * k6 * k12,
-        A6: K1**2 * K3**2 * k6**3 * k12**2,
-        B1: K1**2 * K2 * K3**2 * k3 * k6**2 * k12**2,
-        B2: a * K2**2 * K3 * k3**2 * k12,
-        I1: 2 * K1**2 * K2 * K3 * k3 * k6**2 * k12**2,
-        I2: 2 * K1 * K2 * K3 * K4 * k3**2 * k6 * k9 * k12,
+        A6: K1_2 * K3_2 * k6_3 * k12_2,
+        B1: K1_2 * K2 * K3_2 * k3 * k6_2 * k12_2,
+        B2: a * K2_2 * K3 * k3_2 * k12,
+        I1: 2 * K1_2 * K2 * K3 * k3 * k6_2 * k12_2,
+        I2: 2 * K1 * K2 * K3 * K4 * k3_2 * k6 * k9 * k12,
     }
-    return coeffs, b * K1 * K2 * K3 * k3 * k6 * k12
+    return np.array([by_point[p] for p in HEXAGON_POSITIVE]), b * K1 * K2 * K3 * k3 * k6 * k12
 
 
 def negative_prefactor(eta: EtaPoint) -> float:
@@ -166,18 +169,17 @@ def negative_prefactor(eta: EtaPoint) -> float:
     return eta.K1 * eta.K2 * eta.K3 * eta.k3 * eta.k6 * eta.k12
 
 
-def hex_coefficients(eta: EtaPoint, require_case4: bool = True) -> HexCoefficients:
-    """The eleven monomial coefficients of the hexagon-restricted polynomial.
+def hex_coefficients(eta: EtaPoint) -> HexCoefficients:
+    """The eleven monomial coefficients: ``hex_coefficient_arrays`` on the point's (8, 1) column.
 
-    With ``require_case4`` (the default) non-case-4 input is rejected: outside
-    case 4 the three a-multiplied coefficients are not all positive and the
-    object's invariant cannot hold.
+    Non-case-4 input is rejected: outside case 4 the three a-multiplied
+    coefficients are not all positive and the object's invariant cannot hold.
     """
     sc = classify(eta)
-    if require_case4 and sc.tag is not Case.CASE4_A_POS_B_NEG:
+    if sc.tag is not Case.CASE4_A_POS_B_NEG:
         raise ValueError(f"hex coefficients require case 4 input, got {sc.tag.name}")
-    coeffs, c_m = _raw_hex_coefficients(*eta, sc.a_value, sc.b_value)
-    return HexCoefficients(coeffs=coeffs, c_m=c_m)
+    coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
+    return HexCoefficients(coeffs=dict(zip(HEXAGON_POSITIVE, coeffs[:, 0].tolist())), c_m=float(c_m[0]))
 
 
 def eval_p_eta(eta: EtaPoint, x1: float, x2: float, x3: float) -> float:
@@ -258,8 +260,5 @@ def closed_form_bound(cover_id: int, eta: EtaPoint) -> float:
             + 3 / K2 * (K1 * K2**2 * K3 * K4**2 * x) ** (1 / 3)
         )
     if cover_id == 9:
-        from .covers import cover_fixture
-
-        coeffs = hex_coefficients(eta)
-        return cover_theta_sum(cover_fixture(9), coeffs.coeffs) / negative_prefactor(eta)
+        return cover_theta_sum(cover_fixture(9), hex_coefficients(eta).coeffs) / negative_prefactor(eta)
     raise ValueError(f"no closed-form bound for cover {cover_id}; supported: {CLOSED_FORM_IDS}")

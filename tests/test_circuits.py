@@ -137,6 +137,25 @@ def test_scalar_weighting_is_linear_combination(t):
     assert math.isclose(weighted_theta_sum(w, coeffs), expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_missing_weights_read_as_one_in_the_invariant():
+    # with no weights, covers 4 and 9 would each take every coefficient whole:
+    # weighted_theta_sum would give Theta4 + Theta9 with unit coefficients
+    with pytest.raises(ValueError):
+        WeightedCover((cover_fixture(4), cover_fixture(9)), {})
+    cover = cover_fixture(9)
+    point = cover.simplices[0].vertices[0]
+    with pytest.raises(ValueError):  # cover 0 gives half, cover 1's missing weight reads as 1
+        WeightedCover((cover, cover), {(0, point): 0.5})
+    WeightedCover((cover,), {})  # one cover, every weight 1
+
+
+def test_weight_at_a_point_outside_its_cover_raises():
+    stray = next(p for p in HEXAGON_POSITIVE if p not in TRIANGLE.vertices)
+    for key in ((0, stray), (2, TRIANGLE.vertices[0])):  # cover 0 lacks stray; there is no cover 2
+        with pytest.raises(ValueError):
+            WeightedCover(((TRIANGLE,), (SEGMENT,)), {key: 1.0})
+
+
 def test_weight_invariant_violation_raises():
     cover = cover_fixture(9)
     with pytest.raises(ValueError):

@@ -16,3 +16,11 @@ def test_every_demo_runs_cleanly():
         done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True,
                               text=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, ""), demo.name
+
+
+def test_readme_library_tour_runs_cleanly():
+    tour = (ROOT / "README.md").read_text().split("```python\n")[1].split("```")[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", tour], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")

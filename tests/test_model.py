@@ -10,11 +10,13 @@ from hypothesis import given, strategies as st
 from hexcover.circuits import cover_theta_sum
 from hexcover.covers import cover_fixture
 from hexcover import experiment, model
-from hexcover.experiment import RAW_BLOCK, case4_eta_points, classified_block, hex_coefficient_arrays
-from hexcover.geometry import A2, A4, A6, M
+from hexcover.experiment import (RAW_BLOCK, CoverEvaluator, SamplePlan, case4_eta_points,
+                                 classified_block, hex_coefficient_arrays, sample_case4)
+from hexcover.geometry import A2, A4, A6, HEXAGON_POSITIVE, M
 from hexcover.model import (
     Case,
     EtaPoint,
+    HexCoefficients,
     KappaVector,
     ab_values,
     classify,
@@ -143,11 +145,19 @@ def test_hex_coefficients_match_example_circuit():
         assert math.isclose(coeffs.coeffs[A4], a * K2**2 * K4 * k3**2 * k9, rel_tol=1e-12)
 
 
+def unchecked_coefficients(etas):
+    """HexCoefficients of each column of an (8, k) array, in any sign case."""
+    coeffs, c_m = hex_coefficient_arrays(etas, *ab_values(etas))
+    return [HexCoefficients(dict(zip(HEXAGON_POSITIVE, column.tolist())), float(cm))
+            for column, cm in zip(coeffs.T, c_m)]
+
+
 def test_hex_coefficients_flag_non_case4():
+    eta = reduce(KappaVector((1.0,) * 12))
     with pytest.raises(ValueError):
-        hex_coefficients(reduce(KappaVector((1.0,) * 12)))
-    # explicit opt-out returns the raw (partially nonpositive) coefficients
-    coeffs = hex_coefficients(reduce(KappaVector((1.0,) * 12)), require_case4=False)
+        hex_coefficients(eta)
+    # the batch kernel checks no case and gives the raw (partially nonpositive) coefficients
+    [coeffs] = unchecked_coefficients(np.array(eta.as_tuple())[:, None])
     assert coeffs.coeffs[A4] == 0.0
 
 
@@ -185,8 +195,7 @@ def test_case2_attains_negative_values(case2_etas):
     grid = np.logspace(-4, 4, 100)
     x1, x3 = np.meshgrid(grid, grid, indexing="ij")
     found = 0
-    for column in case2_etas(8, 20).T:
-        coeffs = hex_coefficients(EtaPoint(*map(float, column)), require_case4=False)
+    for coeffs in unchecked_coefficients(case2_etas(8, 20)):
         if eval_hex_poly(coeffs, x1, x3).min() < 0:
             found += 1
     assert found >= 19  # grid-resolution misses are rare
@@ -252,7 +261,26 @@ def test_certificate_scale_invariance():
 
 
 def test_scalar_c_m_matches_batch_bits():
-    eta, a, b = classified_block(seed=11, block=0, box_size=1.0)
-    _, c_m = hex_coefficient_arrays(eta, a, b)
-    scalar = [hex_coefficients(EtaPoint(*map(float, eta[:, j]))).c_m for j in range(eta.shape[1])]
-    assert np.array_equal(np.array(scalar), c_m)
+    """A single point is a batch of one: the scalar API gets each sample's batch bits.
+
+    The ten coefficients and c_m, every cover's Theta sum and the cover-9
+    bound of 20,000 case-4 samples equal the Monte-Carlo kernels' values.
+    """
+    plan = SamplePlan(target_case4_samples=20_000, seed=11)
+    eta, coeffs, c_m = (np.concatenate(parts, axis=-1) for parts in zip(*sample_case4(plan)))
+    evaluator = CoverEvaluator()
+    thetas = evaluator.theta_sums(np.log(coeffs))
+    scalar_coeffs, scalar_c_m, scalar_thetas, bound9, prefactor = [], [], [], [], []
+    for column in eta.T.tolist():
+        point = EtaPoint(*column)
+        scalar = hex_coefficients(point)
+        scalar_coeffs.append([scalar.coeffs[p] for p in HEXAGON_POSITIVE])
+        scalar_c_m.append(scalar.c_m)
+        scalar_thetas.append([cover_theta_sum(cover, scalar.coeffs) for cover in evaluator.covers])
+        bound9.append(closed_form_bound(9, point))
+        prefactor.append(negative_prefactor(point))
+    assert np.array_equal(np.array(scalar_coeffs).T, coeffs)
+    assert np.array_equal(np.array(scalar_c_m), c_m)
+    assert np.array_equal(np.array(scalar_thetas).T, thetas)
+    row9 = thetas[evaluator.cover_ids.index(9)]
+    assert np.array_equal(np.array(bound9), row9 / np.array(prefactor))
