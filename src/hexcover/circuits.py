@@ -8,21 +8,22 @@ nonnegativity on the positive orthant: the polynomial is nonnegative iff
 
 Theta has one expression, ``theta_rows``: exp(const + sum_i lambda_i log c_i)
 in numpy, with the lambdas and const = -sum_i lambda_i log lambda_i of each
-simplex compiled once.  ``experiment.CoverEvaluator`` and ``circuit_number``,
-a batch of one, both run it, so a circuit number has the same bits on both.
+simplex compiled once.  ``experiment.CoverEvaluator``, ``cover_theta_sum`` and
+``circuit_number`` (a batch of one) all run it, with the same bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
-from .geometry import M, LatticePoint, Simplex, barycentric_coordinates
+from .geometry import HEXAGON_POSITIVE, M, POINT_INDEX, LatticePoint, Simplex, barycentric_coordinates
 
 
 class NotACircuitError(ValueError):
@@ -63,9 +64,22 @@ def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[f
     return lams, -sum(l * math.log(l) for l in lams)
 
 
+@functools.cache
+def _simplex_table(simplices: tuple[Simplex, ...]) -> tuple:
+    """(getter of its vertices' rows in ``HEXAGON_POSITIVE`` order, lambdas, const) per simplex around m."""
+    return tuple((operator.itemgetter(*(POINT_INDEX[v] for v in s.vertices)), *_compiled_simplex(s, M))
+                 for s in simplices)
+
+
 def theta_rows(lams, const, log_rows):
-    """exp(const + lams[0]*log_rows[0] + ...) left to right; a row is an array or one float64."""
-    return np.exp(sum((l * row for l, row in zip(lams, log_rows)), const))
+    """exp(const + lams[0]*log_rows[0] + ...) left to right; a row is an array or one float64.
+
+    A loop, not ``sum``, which adds Python floats with compensation from Python 3.12 on.
+    """
+    total = const
+    for lam, row in zip(lams, log_rows):
+        total = total + lam * row
+    return np.exp(total)
 
 
 def circuit_number(c: CircuitSupport) -> float:
@@ -94,15 +108,24 @@ class PureCover:
     simplices: tuple[Simplex, ...]
 
 
-def cover_theta_sum(cover, coeffs: Mapping[LatticePoint, float]) -> float:
-    """Sum of circuit numbers of a cover's simplices under ``coeffs``.
+def cover_theta_sum(cover, coeffs) -> float:
+    """Theta sum of a :class:`PureCover` or plain simplex sequence around the hexagon's m.
 
-    ``cover`` is a :class:`PureCover` or a plain sequence of simplices around
-    the hexagon's negative point m.  The coefficient of m is not consumed
-    here; callers compare the sum against -c_m themselves.
+    ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column of ``hex_coefficient_arrays``
+    or a mapping of the ten points, converted once; ValueError unless all are
+    positive.  ``theta_rows`` runs on each simplex's cached table row, as in
+    ``CoverEvaluator``, so the sum has the batch's bits; callers compare it to -c_m.
     """
-    return sum(circuit_number(CircuitSupport(s, M, {v: coeffs[v] for v in s.vertices}))
-               for s in getattr(cover, "simplices", cover))
+    if isinstance(coeffs, Mapping):
+        coeffs = [coeffs[p] for p in HEXAGON_POSITIVE]
+    column = np.asarray(coeffs, dtype=float)
+    if column.shape != (len(HEXAGON_POSITIVE),) or not all(v > 0 for v in column.tolist()):
+        raise ValueError(f"need ten positive coefficients, got {column}")
+    logs = np.log(column).tolist()
+    total = 0
+    for rows, lams, const in _simplex_table(tuple(getattr(cover, "simplices", cover))):
+        total = total + theta_rows(lams, const, rows(logs))
+    return float(total)
 
 
 WEIGHT_TOL = 1e-12  # slack of the WeightedCover invariants

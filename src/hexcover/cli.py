@@ -104,7 +104,19 @@ def _plan_from_args(args) -> SamplePlan:
                          for key, (name, cast) in _PLAN_FIELDS.items() if key in supplied})
 
 
-def _report(args, stem: str, n: int, header: dict, rows: list[str], fields: dict) -> int:
+def _out_paths(args) -> list[str]:
+    """The CSV and JSON files --out names; OSError unless its directory exists and both can be written."""
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(f"--out: directory {out_dir!r} does not exist")
+    paths = [f"{args.out}{args.command}.{ext}" for ext in ("csv", "json")]
+    for path in paths:
+        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else out_dir, os.W_OK):
+            raise PermissionError(f"--out: cannot write {path!r}")
+    return paths
+
+
+def _report(args, n: int, header: dict, rows: list[str], fields: dict) -> int:
     """Print a report's CSV, or with --out write it and its JSON twin; returns EXIT_OK.
 
     Both start with the build id, seed, n and box; ``header`` adds '#' lines
@@ -117,9 +129,10 @@ def _report(args, stem: str, n: int, header: dict, rows: list[str], fields: dict
     if not args.out:
         sys.stdout.write(text)
         return EXIT_OK
-    with open(f"{args.out}{stem}.csv", "w", newline="") as fh:
+    csv_path, json_path = _out_paths(args)
+    with open(csv_path, "w", newline="") as fh:
         fh.write(text)
-    with open(f"{args.out}{stem}.json", "w") as fh:
+    with open(json_path, "w") as fh:
         json.dump({"build": BUILD_ID, "seed": plan.seed, "n": n, "box": plan.box_size, **fields},
                   fh, indent=2)
         fh.write("\n")
@@ -192,10 +205,11 @@ def _check_certify(args) -> None:
     """Parse the point and evaluate it; ValueError if a value that certify uses leaves float64.
 
     The coefficients come from one batch-of-one call of the Monte-Carlo
-    kernel, so a point gets the bits of its hit masks.  a, b, the ten
-    coefficients and c_m must be finite.  In case 4 the point also passes
-    ``case4_thetas``, the block task's check (no coefficient or c_m is 0),
-    and every closed-form bound must be finite.
+    kernel, so a point gets the bits of its hit masks, and travel on as its
+    (10,) column.  a, b, the ten coefficients and c_m must be finite.  In
+    case 4 the column also passes ``case4_thetas``, the block task's check
+    (no coefficient or c_m is 0), which gives each cover's Theta sum once;
+    cover 9's bound reuses its sum, and every bound must be finite.
     """
     given = [text for text in (args.kappa, args.eta, args.file) if text is not None]
     if len(given) != 1:
@@ -212,17 +226,18 @@ def _check_certify(args) -> None:
     try:  # numpy gives inf, NaN or 0 unwarned; a Python float power in a bound raises
         with np.errstate(all="ignore"):  # a Theta sum beyond float64 prints as inf
             coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
-            if not np.isfinite([sc.a_value, sc.b_value, *coeffs[:, 0], c_m[0]]).all():
+            coeffs, c_m = coeffs[:, 0], c_m[0]
+            if not np.isfinite([sc.a_value, sc.b_value, *coeffs, c_m]).all():
                 raise ValueError("a, b, the coefficients and c_m must be finite in float64")
             if sc.tag is not Case.CASE4_A_POS_B_NEG:
                 return
-            thetas, neg_cm = case4_thetas(_cover_evaluator(), coeffs, c_m)
-            bounds = [closed_form_bound(cid, eta) for cid in CLOSED_FORM_IDS]
+            thetas, neg_cm = case4_thetas(_cover_evaluator(), coeffs, c_m)  # covers 1..16
+            bounds = [closed_form_bound(cid, eta, thetas[cid - 1]) for cid in CLOSED_FORM_IDS]
     except ArithmeticError as exc:
         raise ValueError(f"a value is beyond float64: {exc}") from None
     if not all(map(math.isfinite, bounds)):
         raise ValueError("a closed-form bound is not finite in float64")
-    args.thetas, args.neg_cm, args.bounds = thetas[:, 0], neg_cm[0], bounds
+    args.thetas, args.neg_cm, args.bounds = thetas, neg_cm, bounds
 
 
 def cmd_certify(args) -> int:
@@ -259,7 +274,7 @@ def cmd_table1(args) -> int:
     m = evaluate_covers(args.plan)
     rows = [f"sum,{m.union_count},{m.union_ratio:.5f}"]
     rows += [f"CC({cid}),{m.counts[cid - 1]},{m.ratios[cid - 1]:.5f}" for cid in range(1, 17)]
-    return _report(args, "table1", m.n, {"columns": "cover,hits,ratio"}, rows, {
+    return _report(args, m.n, {"columns": "cover,hits,ratio"}, rows, {
         "raw_draws": m.raw_draws,
         "union": {"hits": m.union_count, "ratio": round(m.union_ratio, 5)},
         "covers": [
@@ -289,7 +304,7 @@ def cmd_table2(args) -> int:
     header = {"baseline": args.baseline,
               "columns": "cover,plus,minus,zero,plus_count,minus_count,zero_count",
               "scale": "ratios multiplied by 100"}
-    return _report(args, "table2", m.n, header, rows, {
+    return _report(args, m.n, header, rows, {
         "baseline": args.baseline,
         "covers": [
             {"id": r.cover_id,
@@ -309,7 +324,7 @@ def cmd_containment(args) -> int:
     rep = containment_analysis(m, threshold=args.threshold)
     rows = [f"{a},{b},contained" for a, b in rep.edges] + [f"{a},{b},near" for a, b in rep.near_edges]
     header = {"columns": "A,B,kind", "threshold": rep.threshold, "near_band": rep.near_band}
-    return _report(args, "containment", m.n, header, rows, {
+    return _report(args, m.n, header, rows, {
         "threshold": rep.threshold, "near_band": rep.near_band,
         "edges": [list(e) for e in rep.edges],
         "near_edges": [list(e) for e in rep.near_edges],
@@ -342,7 +357,7 @@ def cmd_homotopy(args) -> int:
         curve, columns = simplicial_homotopy(m, *ids, delta=delta), "s,t,ratio"
     rows = ["".join(f"{x:.6g}," for x in g) + f"{r:.5f}" for g, r in zip(curve.grid, curve.ratios)]
     header = {"covers": args.covers, "delta": f"{delta:g}", "columns": columns}
-    return _report(args, "homotopy", m.n, header, rows, {
+    return _report(args, m.n, header, rows, {
         "covers": list(ids), "delta": delta,
         "points": [list(g) + [round(r, 5)] for g, r in zip(curve.grid, curve.ratios)],
     })
@@ -469,9 +484,8 @@ def main(argv=None) -> int:
     try:  # every input is checked here, before any sampling or output
         if hasattr(args, "seed"):  # experiment commands
             args.plan = _plan_from_args(args)
-            out_dir = os.path.dirname(args.out or "") or "."
-            if not os.path.isdir(out_dir):  # checked now, not after the run
-                raise FileNotFoundError(f"--out: directory {out_dir!r} does not exist")
+            if args.out:  # checked now, not after the run
+                _out_paths(args)
         if args.check is not None:
             args.check(args)
     except (ValueError, OSError) as exc:

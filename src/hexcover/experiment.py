@@ -33,9 +33,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .covers import all_covers, cover_fixture
-from .geometry import M, POINT_INDEX
 from .model import EtaPoint, _reduced, ab_values, hex_coefficient_arrays, is_case4
-from .circuits import _compiled_simplex, theta_rows
+from .circuits import _simplex_table, theta_rows
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
 LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
@@ -108,7 +107,7 @@ class CoverEvaluator:
     those of its own covers (10 for covers 4, 9 and 15).  Each is evaluated
     once, elementwise, by ``circuits.theta_rows`` on one row of the log
     coefficients per vertex, so a sample gets the same bits in any batch,
-    from any evaluator and from ``circuit_number``.
+    from any evaluator and from ``cover_theta_sum`` and ``circuit_number``.
     """
 
     def __init__(self, cover_ids=range(1, 17)):
@@ -120,14 +119,12 @@ class CoverEvaluator:
         rows: dict = {}
         self._cover_rows = [[rows.setdefault(s, len(rows)) for s in cover.simplices]
                             for cover in self.covers]
-        self._table = [([POINT_INDEX[v] for v in s.vertices], *_compiled_simplex(s, M))
-                       for s in rows]
+        self._table = _simplex_table(tuple(rows))
 
     def theta_sums(self, log_coeffs: np.ndarray) -> np.ndarray:
-        """(covers, k) Theta sums from a (10, k) array of log coefficients."""
-        thetas = [theta_rows(lams, const, [log_coeffs[i] for i in idx])
-                  for idx, lams, const in self._table]
-        return np.stack([sum(thetas[r] for r in rows) for rows in self._cover_rows])
+        """(covers, k) Theta sums from a (10, k) array of log coefficients; a (10,) column gives (covers,)."""
+        thetas = [theta_rows(lams, const, rows(log_coeffs)) for rows, lams, const in self._table]
+        return np.array([sum(thetas[r] for r in rows) for rows in self._cover_rows])
 
 
 def classified_block(seed: int, block: int, box_size: float):

@@ -172,6 +172,8 @@ def negative_prefactor(eta: EtaPoint) -> float:
 def hex_coefficients(eta: EtaPoint) -> HexCoefficients:
     """The eleven monomial coefficients: ``hex_coefficient_arrays`` on the point's (8, 1) column.
 
+    Not an (8,) vector: there ``K1**3`` and ``k6**3`` are numpy-scalar powers
+    from libm, and about one point in eleven gets other bits than its sample.
     Non-case-4 input is rejected: outside case 4 the three a-multiplied
     coefficients are not all positive and the object's invariant cannot hold.
     """
@@ -219,13 +221,14 @@ def eval_hex_poly(coeffs: HexCoefficients, x1, x3):
 CLOSED_FORM_IDS = (4, 9, 10, 12, 15)
 
 
-def closed_form_bound(cover_id: int, eta: EtaPoint) -> float:
+def closed_form_bound(cover_id: int, eta: EtaPoint, theta_sum: float | None = None) -> float:
     """Right-hand side of the displayed sufficient condition for one cover.
 
     The certificate holds iff -b(eta) <= closed_form_bound(cover_id, eta); the
     bound equals the cover's Theta sum divided by the prefactor K1*K2*K3*k3*k6*k12.
-    The bound for cover 9 has no displayed simplification and is defined via the
-    generic Theta-sum path.
+    Cover 9 has no displayed simplification, so its bound is that quotient of
+    ``theta_sum`` when the caller holds the sum (``certify`` does), else of
+    ``cover_theta_sum`` on ``hex_coefficients``; the other covers ignore it.
     """
     K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
     a, b = ab_values(eta)
@@ -260,5 +263,7 @@ def closed_form_bound(cover_id: int, eta: EtaPoint) -> float:
             + 3 / K2 * (K1 * K2**2 * K3 * K4**2 * x) ** (1 / 3)
         )
     if cover_id == 9:
-        return cover_theta_sum(cover_fixture(9), hex_coefficients(eta).coeffs) / negative_prefactor(eta)
+        if theta_sum is None:
+            theta_sum = cover_theta_sum(cover_fixture(9), hex_coefficients(eta).coeffs)
+        return theta_sum / negative_prefactor(eta)
     raise ValueError(f"no closed-form bound for cover {cover_id}; supported: {CLOSED_FORM_IDS}")

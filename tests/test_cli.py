@@ -103,6 +103,29 @@ def test_certify_takes_one_batch_coefficient_call_and_no_scalar_one(monkeypatch,
     assert err == "" and shapes == [(8, 1)]
 
 
+def test_case4_certify_computes_coefficients_and_each_simplex_theta_once(monkeypatch, capsys):
+    import hexcover.cli as cli
+    from hexcover import circuits, model
+
+    calls = {"hex_coefficient_arrays": 0, "theta_rows": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for owner in (cli, model, experiment):
+        monkeypatch.setattr(owner, "hex_coefficient_arrays",
+                            counting("hex_coefficient_arrays", owner.hex_coefficient_arrays))
+    for owner in (circuits, experiment):
+        monkeypatch.setattr(owner, "theta_rows", counting("theta_rows", owner.theta_rows))
+    argv = ("--eta", "5,1,1,5,2,1,1,1")  # case 4
+    code, out, err = run(capsys, "certify", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CERTIFY_OUTPUT[argv]
+    assert err == "" and calls == {"hex_coefficient_arrays": 1, "theta_rows": 21}  # 21 distinct simplices
+
+
 def test_one_float64_check_rejects_in_block_tasks_and_certify(monkeypatch, capsys):
     import hexcover.cli as cli
 
@@ -339,6 +362,7 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
     ["table1", "--box", "1e-100"], ["table2", "--box", "1e-200"], ["containment", "--box", "1e200"],
     ["homotopy", "--covers", "4,9", "--box", "1e-100"],
     ["table1", "--out", "{tmp}/missing/t_"], ["homotopy", "--covers", "4,9", "--out", "{tmp}/missing/"],
+    ["table1", "--n", "100", "--out", "{tmp}/d/"], ["homotopy", "--covers", "4,9", "--out", "{tmp}/d/"],
     ["certify", "--eta", "1,1,1,1,1e200,1e200,1e200,1e200"],
     ["certify", "--kappa", "1,1,1,1,1,1,1,1,1,1,1,inf"],
     ["certify", "--eta", "5e300,1,1,5e300,2,1,1,1"],
@@ -364,6 +388,8 @@ def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, ar
     (tmp_path / "fifteen_points.txt").write_text("".join(f"{x} {z}\n" for x, z in ring) + "m 0 0\n")
     (tmp_path / "unknown_key.txt").write_text("seeds=7\n")
     (tmp_path / "point.txt").write_text("5 1 1 5 2 1 1 1\n")
+    (tmp_path / "d" / "table1.csv").mkdir(parents=True)  # report files that cannot be opened
+    (tmp_path / "d" / "homotopy.json").mkdir()
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_USAGE
     assert out == "" and len(err.strip().splitlines()) == 1

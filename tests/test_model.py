@@ -263,8 +263,10 @@ def test_certificate_scale_invariance():
 def test_scalar_c_m_matches_batch_bits():
     """A single point is a batch of one: the scalar API gets each sample's batch bits.
 
-    The ten coefficients and c_m, every cover's Theta sum and the cover-9
-    bound of 20,000 case-4 samples equal the Monte-Carlo kernels' values.
+    The ten coefficients and c_m, every cover's Theta sum (from
+    ``cover_theta_sum`` and from ``CoverEvaluator`` on the point's (10,)
+    column) and the cover-9 bound of 20,000 case-4 samples equal the
+    Monte-Carlo kernels' values.
     """
     plan = SamplePlan(target_case4_samples=20_000, seed=11)
     eta, coeffs, c_m = (np.concatenate(parts, axis=-1) for parts in zip(*sample_case4(plan)))
@@ -284,3 +286,5 @@ def test_scalar_c_m_matches_batch_bits():
     assert np.array_equal(np.array(scalar_thetas).T, thetas)
     row9 = thetas[evaluator.cover_ids.index(9)]
     assert np.array_equal(np.array(bound9), row9 / np.array(prefactor))
+    column_thetas = np.array([evaluator.theta_sums(np.log(coeffs[:, j])) for j in range(coeffs.shape[1])])
+    assert np.array_equal(column_thetas.T.view(np.uint64), thetas.view(np.uint64))
