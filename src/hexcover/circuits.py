@@ -6,10 +6,12 @@ interior.  Its circuit number Theta = prod_i (c_i / lambda_i)**lambda_i decides
 nonnegativity on the positive orthant: the polynomial is nonnegative iff
 -c_beta <= Theta.
 
-Theta has one expression, ``theta_rows``: exp(const + sum_i lambda_i log c_i)
-in numpy, with the lambdas and const = -sum_i lambda_i log lambda_i of each
-simplex compiled once.  ``experiment.CoverEvaluator``, ``cover_theta_sum`` and
-``circuit_number`` (a batch of one) all run it, with the same bits.
+Theta has one expression: numpy's exp of ``theta_exponent``, const + sum_i
+lambda_i log c_i added left to right, with each simplex's lambdas and const
+compiled once.  A batch takes one exp per simplex row; a point
+(``cover_theta_sum``, ``circuit_number``, ``weighted_theta_sum``) adds its
+exponents on Python floats and takes one exp over them.  All other operations
+are correctly rounded, so a point gets its sample's bits.
 """
 
 from __future__ import annotations
@@ -66,26 +68,40 @@ def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[f
 
 @functools.cache
 def _simplex_table(simplices: tuple[Simplex, ...]) -> tuple:
-    """(getter of its vertices' rows in ``HEXAGON_POSITIVE`` order, lambdas, const) per simplex around m."""
-    return tuple((operator.itemgetter(*(POINT_INDEX[v] for v in s.vertices)), *_compiled_simplex(s, M))
-                 for s in simplices)
+    """(terms, const) per simplex around m; a term is (vertex's index in ``HEXAGON_POSITIVE``, lambda)."""
+    return tuple((tuple(zip([POINT_INDEX[v] for v in s.vertices], lams)), const)
+                 for s in simplices for lams, const in [_compiled_simplex(s, M)])
 
 
-def theta_rows(lams, const, log_rows):
-    """exp(const + lams[0]*log_rows[0] + ...) left to right; a row is an array or one float64.
+def theta_exponent(terms, const, logs):
+    """log Theta = const + lam*logs[index] + ... left to right; ``logs`` holds floats or batch rows.
 
     A loop, not ``sum``, which adds Python floats with compensation from Python 3.12 on.
     """
     total = const
-    for lam, row in zip(lams, log_rows):
-        total = total + lam * row
-    return np.exp(total)
+    for index, lam in terms:
+        total = total + lam * logs[index]
+    return total
+
+
+def theta_rows(table, log_coeffs) -> list:
+    """Theta of each ``_simplex_table`` simplex, from the log coefficients in ``HEXAGON_POSITIVE`` order.
+
+    A (10, k) batch gives a (k,) row per simplex, one exp each (stacking the
+    rows for one exp costs more).  A point's (10,) column gives floats: its
+    exponents run on Python floats, and one exp takes them all.
+    """
+    if log_coeffs.ndim == 1:
+        logs = log_coeffs.tolist()
+        return np.exp([theta_exponent(terms, const, logs) for terms, const in table]).tolist()
+    return [np.exp(theta_exponent(terms, const, log_coeffs)) for terms, const in table]
 
 
 def circuit_number(c: CircuitSupport) -> float:
-    """Theta = prod (c_i / lambda_i)**lambda_i: ``theta_rows`` on a batch of one."""
+    """Theta = prod (c_i / lambda_i)**lambda_i, on a point's float path: ``theta_exponent``, one exp."""
     lams, const = _compiled_simplex(c.simplex, c.interior)
-    return float(theta_rows(lams, const, [np.log(c.positive_coeffs[v]) for v in c.simplex]))
+    logs = np.log([c.positive_coeffs[v] for v in c.simplex]).tolist()
+    return float(np.exp(theta_exponent(enumerate(lams), const, logs)))
 
 
 def is_nonnegative(c: CircuitSupport) -> bool:
@@ -113,7 +129,7 @@ def cover_theta_sum(cover, coeffs) -> float:
 
     ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column of ``hex_coefficient_arrays``
     or a mapping of the ten points, converted once; ValueError unless all are
-    positive.  ``theta_rows`` runs on each simplex's cached table row, as in
+    positive.  ``theta_rows`` runs on the cover's cached table, as in
     ``CoverEvaluator``, so the sum has the batch's bits; callers compare it to -c_m.
     """
     if isinstance(coeffs, Mapping):
@@ -121,11 +137,8 @@ def cover_theta_sum(cover, coeffs) -> float:
     column = np.asarray(coeffs, dtype=float)
     if column.shape != (len(HEXAGON_POSITIVE),) or not all(v > 0 for v in column.tolist()):
         raise ValueError(f"need ten positive coefficients, got {column}")
-    logs = np.log(column).tolist()
-    total = 0
-    for rows, lams, const in _simplex_table(tuple(getattr(cover, "simplices", cover))):
-        total = total + theta_rows(lams, const, rows(logs))
-    return float(total)
+    thetas = theta_rows(_simplex_table(tuple(getattr(cover, "simplices", cover))), np.log(column))
+    return functools.reduce(operator.add, thetas, 0.0)  # left to right, as the batch adds
 
 
 WEIGHT_TOL = 1e-12  # slack of the WeightedCover invariants
@@ -164,14 +177,15 @@ def weighted_theta_sum(w: WeightedCover, coeffs: Mapping[LatticePoint, float]) -
     continuous limit 0 (w**lambda times a positive factor as w -> 0), keeping
     homotopy endpoints well defined.
     """
-    total = 0.0
+    exponents = []
     for i, cover in enumerate(w.covers):
         for s in getattr(cover, "simplices", cover):
-            eff = {v: w.weights.get((i, v), 1.0) * coeffs[v] for v in s.vertices}
-            if any(c <= 0 for c in eff.values()):
+            eff = [w.weights.get((i, v), 1.0) * coeffs[v] for v in s.vertices]
+            if any(c <= 0 for c in eff):
                 continue  # limit contribution is exactly zero
-            total += circuit_number(CircuitSupport(s, M, eff))
-    return total
+            lams, const = _compiled_simplex(s, M)
+            exponents.append(theta_exponent(enumerate(lams), const, np.log(eff).tolist()))
+    return functools.reduce(operator.add, np.exp(exponents).tolist(), 0.0)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

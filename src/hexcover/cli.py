@@ -204,12 +204,12 @@ def cmd_enumerate(args) -> int:
 def _check_certify(args) -> None:
     """Parse the point and evaluate it; ValueError if a value that certify uses leaves float64.
 
-    The coefficients come from one batch-of-one call of the Monte-Carlo
-    kernel, so a point gets the bits of its hit masks, and travel on as its
-    (10,) column.  a, b, the ten coefficients and c_m must be finite.  In
-    case 4 the column also passes ``case4_thetas``, the block task's check
-    (no coefficient or c_m is 0), which gives each cover's Theta sum once;
-    cover 9's bound reuses its sum, and every bound must be finite.
+    The coefficients come from the Monte-Carlo kernel on the point's 8
+    floats, so a point gets the bits of its hit masks, as its (10,) column.
+    a, b, the ten coefficients and c_m must be finite.  In case 4 the column
+    also passes ``case4_thetas``, the block task's check (no coefficient or
+    c_m is 0), which gives each cover's Theta sum once; cover 9's bound
+    reuses its sum, and every bound must be finite.
     """
     given = [text for text in (args.kappa, args.eta, args.file) if text is not None]
     if len(given) != 1:
@@ -223,16 +223,16 @@ def _check_certify(args) -> None:
     else:
         raise ValueError(f"expected 12 or 8 positive reals, got {len(values)}")
     sc = args.case = classify(eta)  # ValueError when a or b is NaN
-    try:  # numpy gives inf, NaN or 0 unwarned; a Python float power in a bound raises
+    coeffs, c_m = hex_coefficient_arrays(eta.as_tuple(), sc.a_value, sc.b_value)  # inf, NaN or 0 unraised
+    if not all(map(math.isfinite, [sc.a_value, sc.b_value, *coeffs.tolist(), c_m])):
+        raise ValueError("a, b, the coefficients and c_m must be finite in float64")
+    if sc.tag is not Case.CASE4_A_POS_B_NEG:
+        return
+    try:  # a Python float power in a bound raises
         with np.errstate(all="ignore"):  # a Theta sum beyond float64 prints as inf
-            coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
-            coeffs, c_m = coeffs[:, 0], c_m[0]
-            if not np.isfinite([sc.a_value, sc.b_value, *coeffs, c_m]).all():
-                raise ValueError("a, b, the coefficients and c_m must be finite in float64")
-            if sc.tag is not Case.CASE4_A_POS_B_NEG:
-                return
             thetas, neg_cm = case4_thetas(_cover_evaluator(), coeffs, c_m)  # covers 1..16
-            bounds = [closed_form_bound(cid, eta, thetas[cid - 1]) for cid in CLOSED_FORM_IDS]
+        thetas = thetas.tolist()
+        bounds = [closed_form_bound(cid, eta, thetas[cid - 1]) for cid in CLOSED_FORM_IDS]
     except ArithmeticError as exc:
         raise ValueError(f"a value is beyond float64: {exc}") from None
     if not all(map(math.isfinite, bounds)):
@@ -242,29 +242,25 @@ def _check_certify(args) -> None:
 
 def cmd_certify(args) -> int:
     sc = args.case
-    print(f"case: {sc.tag.name}  a={sc.a_value:.6g}  b={sc.b_value:.6g}")
+    lines = [f"case: {sc.tag.name}  a={sc.a_value:.6g}  b={sc.b_value:.6g}"]
     if sc.tag is Case.CASE1_MONOSTATIONARY:
-        print("verdict: monostationary (all coefficients nonnegative)")
-        return EXIT_OK
-    if sc.tag is Case.CASE2_MULTISTATIONARY:
-        print("verdict: multistationarity enabled")
-        return EXIT_MULTISTATIONARY
-    if sc.tag is Case.CASE3_A_ZERO_B_NEG:
-        print("verdict: undetermined here (boundary case a = 0)")
-        return EXIT_UNDETERMINED
-
-    hits = args.thetas >= args.neg_cm
-    for cover, theta, hit in zip(all_covers(), args.thetas, hits):
-        print(f"CC({cover.id}): theta_sum={theta:.6g}  -c_m={args.neg_cm:.6g}  "
-              f"{'CERTIFIED' if hit else 'not certified'}")
-    print(f"union: {'CERTIFIED' if hits.any() else 'not certified'}")
-    for cid, bound in zip(CLOSED_FORM_IDS, args.bounds):
-        print(f"bound CC({cid}): {bound:.6g}  -b={-sc.b_value:.6g}")
-    if hits.any():
-        print("verdict: monostationary (certified by circuit cover)")
-        return EXIT_OK
-    print("verdict: undetermined (no cover certificate at this point)")
-    return EXIT_UNDETERMINED
+        verdict, code = "monostationary (all coefficients nonnegative)", EXIT_OK
+    elif sc.tag is Case.CASE2_MULTISTATIONARY:
+        verdict, code = "multistationarity enabled", EXIT_MULTISTATIONARY
+    elif sc.tag is Case.CASE3_A_ZERO_B_NEG:
+        verdict, code = "undetermined here (boundary case a = 0)", EXIT_UNDETERMINED
+    else:
+        hits, neg_cm = [theta >= args.neg_cm for theta in args.thetas], f"{args.neg_cm:.6g}"
+        lines += [f"CC({cover.id}): theta_sum={theta:.6g}  -c_m={neg_cm}  "
+                  f"{'CERTIFIED' if hit else 'not certified'}"
+                  for cover, theta, hit in zip(all_covers(), args.thetas, hits)]
+        lines.append(f"union: {'CERTIFIED' if any(hits) else 'not certified'}")
+        lines += [f"bound CC({cid}): {bound:.6g}  -b={-sc.b_value:.6g}"
+                  for cid, bound in zip(CLOSED_FORM_IDS, args.bounds)]
+        verdict, code = (("monostationary (certified by circuit cover)", EXIT_OK) if any(hits) else
+                         ("undetermined (no cover certificate at this point)", EXIT_UNDETERMINED))
+    sys.stdout.write("\n".join([*lines, f"verdict: {verdict}"]) + "\n")
+    return code
 
 
 # ------------------------------------------------------------- experiments

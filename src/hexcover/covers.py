@@ -35,8 +35,10 @@ def _valid_simplex(points: tuple[LatticePoint, ...], m: LatticePoint) -> Simplex
 
 
 def point_configuration(points, m) -> tuple[list[LatticePoint], LatticePoint]:
-    """``points`` and ``m`` as lattice points; ValueError unless distinct and without m."""
+    """``points`` and ``m`` as lattice points; ValueError unless nonempty, distinct and without m."""
     points, m = [LatticePoint(*p) for p in points], LatticePoint(*m)
+    if not points:
+        raise ValueError("need at least one point besides the interior point")
     if len(set(points)) != len(points):
         raise ValueError("points must be pairwise distinct")
     if m in points:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -105,9 +106,10 @@ class CoverEvaluator:
     holds them in id order without repeats.  The 16 covers use 66 simplex
     blocks but only 21 distinct simplices, and an evaluator compiles only
     those of its own covers (10 for covers 4, 9 and 15).  Each is evaluated
-    once, elementwise, by ``circuits.theta_rows`` on one row of the log
-    coefficients per vertex, so a sample gets the same bits in any batch,
-    from any evaluator and from ``cover_theta_sum`` and ``circuit_number``.
+    once by ``circuits.theta_rows``, on a batch's rows or on one point's
+    floats, and each cover adds its simplices left to right, so a sample gets
+    the same bits in any batch, as a point, from any evaluator and from
+    ``cover_theta_sum``.
     """
 
     def __init__(self, cover_ids=range(1, 17)):
@@ -117,14 +119,15 @@ class CoverEvaluator:
             raise ValueError(f"cover ids must be in 1..16, got {tuple(cover_ids)}")
         self.cover_ids = tuple(cover.id for cover in self.covers)
         rows: dict = {}
-        self._cover_rows = [[rows.setdefault(s, len(rows)) for s in cover.simplices]
-                            for cover in self.covers]
+        self._cover_rows = [operator.itemgetter(*(rows.setdefault(s, len(rows)) for s in cover.simplices))
+                            for cover in self.covers]  # every cover has at least 4 simplices
         self._table = _simplex_table(tuple(rows))
 
     def theta_sums(self, log_coeffs: np.ndarray) -> np.ndarray:
         """(covers, k) Theta sums from a (10, k) array of log coefficients; a (10,) column gives (covers,)."""
-        thetas = [theta_rows(lams, const, rows(log_coeffs)) for rows, lams, const in self._table]
-        return np.array([sum(thetas[r] for r in rows) for rows in self._cover_rows])
+        thetas = theta_rows(self._table, log_coeffs)
+        # left to right: ``sum`` adds Python floats with compensation from Python 3.12 on
+        return np.array([functools.reduce(operator.add, rows(thetas)) for rows in self._cover_rows])
 
 
 def classified_block(seed: int, block: int, box_size: float):
@@ -151,13 +154,14 @@ def classified_block(seed: int, block: int, box_size: float):
     return eta, a[accepted], b[accepted]
 
 
-def case4_thetas(evaluator: CoverEvaluator, coeffs: np.ndarray, c_m: np.ndarray):
+def case4_thetas(evaluator: CoverEvaluator, coeffs: np.ndarray, c_m):
     """(Theta sums, -c_m) of case-4 samples: a Monte-Carlo block or a ``certify`` point.
 
-    FloatingPointError unless every coefficient and c_m is finite and
-    nonzero, which no sample of a box in ``BOX_RANGE`` fails (see SamplePlan).
+    ``c_m`` is a (k,) array or a point's float.  FloatingPointError unless
+    every coefficient and c_m is finite and nonzero, which no sample of a box
+    in ``BOX_RANGE`` fails (see SamplePlan).
     """
-    if not all(np.isfinite(values).all() and values.all() for values in (coeffs, c_m)):
+    if not all(np.isfinite(values).all() and np.asarray(values).all() for values in (coeffs, c_m)):
         raise FloatingPointError("a coefficient or c_m is 0 or not finite in float64")
     return evaluator.theta_sums(np.log(coeffs)), -c_m
 

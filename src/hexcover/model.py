@@ -6,8 +6,9 @@ of a(eta) and b(eta) split parameter space into four cases; in case 4 the
 restricted polynomial on the hexagonal face has ten positive coefficients and
 one negative coefficient at m = (2, 1), and each circuit cover yields a
 sufficient certificate of nonnegativity (hence monostationarity).  The
-coefficient formulas run only in ``hex_coefficient_arrays``, on a batch of one
-for a single point, so a point and its Monte-Carlo sample get the same bits.
+coefficient formulas run only in ``hex_coefficient_arrays``, on a point's 8
+floats or on a batch, with correctly rounded products only, so a point and its
+Monte-Carlo sample get the same bits.
 """
 
 from __future__ import annotations
@@ -141,16 +142,19 @@ class HexCoefficients:
 
 
 def hex_coefficient_arrays(eta, a, b):
-    """(10, k) positive coefficients in ``HEXAGON_POSITIVE`` order and c_m, of an (8, k) eta.
+    """Positive coefficients in ``HEXAGON_POSITIVE`` order and c_m, of 8 eta rows.
 
-    ``a`` and ``b`` are eta's ``ab_values``.  Each power is taken once; every
-    product runs left to right, c_m as b*K1*K2*K3*k3*k6*k12.
+    8 Python floats give (10,) and a float, an (8, k) array (10, k) and (k,);
+    ``a`` and ``b`` are eta's ``ab_values``.  Only products run, each
+    correctly rounded, so floats and arrays get the same bits on any CPU:
+    each power is taken once, a cube as square times base (no libm pow), and
+    every product runs left to right, c_m as b*K1*K2*K3*k3*k6*k12.
     """
     K1, K2, K3, K4, k3, k6, k9, k12 = eta
-    K1_2, K2_2, K3_2, _, k3_2, k6_2, k9_2, k12_2 = eta**2
-    k6_3 = k6**3
+    K1_2, K2_2, K3_2, k3_2, k6_2, k9_2, k12_2 = (x * x for x in (K1, K2, K3, k3, k6, k9, k12))
+    K1_3, k6_3 = K1_2 * K1, k6_2 * k6
     by_point = {
-        A1: K1**3 * K3_2 * k6_3 * k12_2,
+        A1: K1_3 * K3_2 * k6_3 * k12_2,
         A2: K1_2 * K2 * K3 * K4 * k3 * k6_2 * k9 * k12,
         A3: K1 * K2_2 * K4 * k3_2 * k6 * k9_2,
         A4: a * K2_2 * K4 * k3_2 * k9,
@@ -170,18 +174,18 @@ def negative_prefactor(eta: EtaPoint) -> float:
 
 
 def hex_coefficients(eta: EtaPoint) -> HexCoefficients:
-    """The eleven monomial coefficients: ``hex_coefficient_arrays`` on the point's (8, 1) column.
+    """The eleven monomial coefficients: ``hex_coefficient_arrays`` on the point's 8 floats.
 
-    Not an (8,) vector: there ``K1**3`` and ``k6**3`` are numpy-scalar powers
-    from libm, and about one point in eleven gets other bits than its sample.
-    Non-case-4 input is rejected: outside case 4 the three a-multiplied
-    coefficients are not all positive and the object's invariant cannot hold.
+    The kernel's products are correctly rounded, so the point gets the bits
+    of its Monte-Carlo sample.  Non-case-4 input is rejected: outside case 4
+    the three a-multiplied coefficients are not all positive and the
+    object's invariant cannot hold.
     """
     sc = classify(eta)
     if sc.tag is not Case.CASE4_A_POS_B_NEG:
         raise ValueError(f"hex coefficients require case 4 input, got {sc.tag.name}")
-    coeffs, c_m = hex_coefficient_arrays(np.array(eta.as_tuple())[:, None], sc.a_value, sc.b_value)
-    return HexCoefficients(coeffs=dict(zip(HEXAGON_POSITIVE, coeffs[:, 0].tolist())), c_m=float(c_m[0]))
+    coeffs, c_m = hex_coefficient_arrays(eta.as_tuple(), sc.a_value, sc.b_value)
+    return HexCoefficients(coeffs=dict(zip(HEXAGON_POSITIVE, coeffs.tolist())), c_m=c_m)
 
 
 def eval_p_eta(eta: EtaPoint, x1: float, x2: float, x3: float) -> float:

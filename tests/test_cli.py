@@ -90,40 +90,42 @@ def test_certify_takes_one_batch_coefficient_call_and_no_scalar_one(monkeypatch,
     def scalar(*args, **kwargs):
         raise AssertionError("certify must not evaluate the scalar coefficients")
 
-    shapes, batch = [], cli.hex_coefficient_arrays
+    etas, kernel = [], cli.hex_coefficient_arrays
 
     def counted(eta, a, b):
-        shapes.append(eta.shape)
-        return batch(eta, a, b)
+        etas.append(eta)
+        return kernel(eta, a, b)
 
     monkeypatch.setattr(cli, "hex_coefficients", scalar)
     monkeypatch.setattr(cli, "hex_coefficient_arrays", counted)
     code, out, err = run(capsys, "certify", *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == CERTIFY_OUTPUT[argv]
-    assert err == "" and shapes == [(8, 1)]
+    assert err == "" and len(etas) == 1  # one kernel call, on the point's 8 Python floats
+    assert len(etas[0]) == 8 and all(type(v) is float for v in etas[0])
 
 
 def test_case4_certify_computes_coefficients_and_each_simplex_theta_once(monkeypatch, capsys):
     import hexcover.cli as cli
-    from hexcover import circuits, model
+    from hexcover import model
 
-    calls = {"hex_coefficient_arrays": 0, "theta_rows": 0}
+    calls = {"hex_coefficient_arrays": 0, "log": 0, "exp": 0}
 
     def counting(name, fn):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return counted
 
     for owner in (cli, model, experiment):
         monkeypatch.setattr(owner, "hex_coefficient_arrays",
                             counting("hex_coefficient_arrays", owner.hex_coefficient_arrays))
-    for owner in (circuits, experiment):
-        monkeypatch.setattr(owner, "theta_rows", counting("theta_rows", owner.theta_rows))
+    for name in ("log", "exp"):  # every package module calls them as np.log and np.exp
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
     argv = ("--eta", "5,1,1,5,2,1,1,1")  # case 4
     code, out, err = run(capsys, "certify", *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == CERTIFY_OUTPUT[argv]
-    assert err == "" and calls == {"hex_coefficient_arrays": 1, "theta_rows": 21}  # 21 distinct simplices
+    # one log over the ten coefficients, one exp over the 21 distinct simplices' exponents
+    assert err == "" and calls == {"hex_coefficient_arrays": 1, "log": 1, "exp": 1}
 
 
 def test_one_float64_check_rejects_in_block_tasks_and_certify(monkeypatch, capsys):
@@ -155,7 +157,7 @@ def test_certify_from_file(tmp_path, capsys):
 @given(st.lists(st.floats(min_value=1e-300, max_value=1e300) | st.sampled_from([math.inf, math.nan]),
                 min_size=8, max_size=8))
 @example([1, 1, 1, 1, 1e200, 1e200, 1e200, 1e200])  # a and b are NaN
-@example([5e300, 1, 1, 5e300, 2, 1, 1, 1])  # K1**3 overflows a Python float
+@example([5e300, 1, 1, 5e300, 2, 1, 1, 1])  # K1 cubed overflows float64
 @example([3.3e46, 3.5e3, 2.8e-46, 2.2e199, 3.1e-113, 4e-36, 2.5e7, 3.3e144])  # only a bound overflows
 @example([8.71e-263, 2.94e-285, 3.93e-101, 7.13e294, 1.71e136, 4.35e-44, 4.27e-181, 8.5e-228])  # a1 -> 0
 @example([9.978739463419164, 5.037304511619533e+42, 3.565423990054037e+31, 2.6208598931223373e+136,
@@ -357,7 +359,7 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
     ["enumerate", "--points", "{tmp}/missing.txt"], ["enumerate", "--points", "{tmp}/no_m.txt"],
     ["enumerate", "--points", "{tmp}/short_line.txt"], ["enumerate", "--points", "{tmp}/repeated.txt"],
     ["enumerate", "--points", "{tmp}/extra_numbers.txt"], ["enumerate", "--points", "{tmp}/two_m.txt"],
-    ["enumerate", "--points", "{tmp}/fifteen_points.txt"],
+    ["enumerate", "--points", "{tmp}/fifteen_points.txt"], ["enumerate", "--points", "{tmp}/only_m.txt"],
     ["table1", "--config", "{tmp}/unknown_key.txt"],
     ["table1", "--box", "1e-100"], ["table2", "--box", "1e-200"], ["containment", "--box", "1e200"],
     ["homotopy", "--covers", "4,9", "--box", "1e-100"],
@@ -383,6 +385,7 @@ def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, ar
     (tmp_path / "repeated.txt").write_text("4 2\n4 2\nm 2 1\n")
     (tmp_path / "extra_numbers.txt").write_text("4 2 7\nm 2 1 5\n")
     (tmp_path / "two_m.txt").write_text("4 2\n2 0\n0 1\n0 0\nm 2 1\nm 9 9\n")
+    (tmp_path / "only_m.txt").write_text("m 2 1\n")
     # 15 points on a ring around m; the cover count grows exponentially with the points
     ring = [(round(20 * math.cos(k * math.pi / 7.5)), round(20 * math.sin(k * math.pi / 7.5))) for k in range(15)]
     (tmp_path / "fifteen_points.txt").write_text("".join(f"{x} {z}\n" for x, z in ring) + "m 0 0\n")

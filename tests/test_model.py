@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -288,3 +289,49 @@ def test_scalar_c_m_matches_batch_bits():
     assert np.array_equal(np.array(bound9), row9 / np.array(prefactor))
     column_thetas = np.array([evaluator.theta_sums(np.log(coeffs[:, j])) for j in range(coeffs.shape[1])])
     assert np.array_equal(column_thetas.T.view(np.uint64), thetas.view(np.uint64))
+
+
+def _rounded_product(*factors):
+    """factors[0] * factors[1] * ... left to right, each product exact and then rounded to float64."""
+    total = factors[0]
+    for factor in factors[1:]:
+        total = float(Fraction(total) * Fraction(factor))  # Fraction -> float rounds correctly
+    return total
+
+
+def _reference_coefficients(eta, a, b):
+    """The coefficient formulas with every power written out as rounded products (no pow)."""
+    K1, K2, K3, K4, k3, k6, k9, k12 = eta
+    p = _rounded_product
+    K1_2, K2_2, K3_2, k3_2, k6_2, k9_2, k12_2 = (p(x, x) for x in (K1, K2, K3, k3, k6, k9, k12))
+    K1_3, k6_3 = p(K1_2, K1), p(k6_2, k6)
+    coeffs = [  # A1, A2, A3, A4, A5, A6, B1, B2, I1, I2: HEXAGON_POSITIVE order
+        p(K1_3, K3_2, k6_3, k12_2),
+        p(K1_2, K2, K3, K4, k3, k6_2, k9, k12),
+        p(K1, K2_2, K4, k3_2, k6, k9_2),
+        p(a, K2_2, K4, k3_2, k9),
+        p(a, K1, K2, K3, k3, k6, k12),
+        p(K1_2, K3_2, k6_3, k12_2),
+        p(K1_2, K2, K3_2, k3, k6_2, k12_2),
+        p(a, K2_2, K3, k3_2, k12),
+        p(2.0, K1_2, K2, K3, k3, k6_2, k12_2),
+        p(2.0, K1, K2, K3, K4, k3_2, k6, k9, k12),
+    ]
+    return coeffs, p(b, K1, K2, K3, k3, k6, k12)
+
+
+@pytest.mark.parametrize("box", [1.0, 2.0**-99, 2.0**150], ids=["1", "2^-99", "2^150"])
+def test_coefficient_kernel_is_ieee_products_on_floats_columns_and_batches(box):
+    """Python floats, an (8, 1) column and the (8, k) batch give the same bits,
+    and those of a reference that rounds after every product: no pow is left."""
+    (eta, coeffs, c_m), = sample_case4(SamplePlan(box_size=box, target_case4_samples=300, seed=5))
+    a, b = ab_values(eta)
+    batch = np.vstack([coeffs, c_m]).view(np.uint64)
+    for j, column in enumerate(eta.T.tolist()):
+        point_a, point_b = ab_values(column)
+        point_coeffs, point_c_m = hex_coefficient_arrays(column, point_a, point_b)
+        assert type(point_c_m) is float and point_coeffs.shape == (10,)
+        col_coeffs, col_c_m = hex_coefficient_arrays(eta[:, [j]], a[j], b[j])
+        ref_coeffs, ref_c_m = _reference_coefficients(column, point_a, point_b)
+        for values in ([*point_coeffs, point_c_m], [*col_coeffs[:, 0], col_c_m[0]], [*ref_coeffs, ref_c_m]):
+            assert np.array_equal(np.array(values).view(np.uint64), batch[:, j]), (box, j)
