@@ -38,13 +38,14 @@ from .model import EtaPoint, _reduced, ab_values, hex_coefficient_arrays, is_cas
 from .circuits import _simplex_table, theta_rows
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
+TILE = 1 << 12  # columns per draw tile of an inline block: 12 rows of float64 in 384 KB of L2
 LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
 MAX_THREADS = 64  # most worker threads a plan may ask for
 MAX_SWEEP_STEPS = 1000  # most grid steps per side of a homotopy sweep
 DEFAULT_LINEAR_STEP = 0.05  # grid step of a linear homotopy unless one is given
 DEFAULT_SIMPLICIAL_STEP = 1 / 16  # grid step of a simplicial homotopy unless one is given
 BOX_RANGE = (2.0**-99, 2.0**150)  # box sizes whose case-4 values stay normal; see SamplePlan
-_draws = threading.local()  # each thread's reused (12, RAW_BLOCK) draw buffer
+_draws = threading.local()  # each thread's reused (12, tile) draw buffer
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,10 @@ class SamplePlan:
 
     ``threads`` (1 to ``MAX_THREADS``) sets how many worker threads draw
     blocks; it never changes the sample stream, which depends only on the seed
-    and the box size.
+    and the box size.  It sets ``tile``, the width each block is drawn and
+    classified in: ``TILE`` columns when the blocks run inline, so the draw
+    buffer and its temporaries stay in cache, and the whole block on a pool,
+    where narrow tiles multiply the GIL hand-offs between the workers.
 
     ``box_size`` N must lie in ``BOX_RANGE`` = [2^-99, 2^150].  There no draw
     can push a, b, a coefficient or c_m, nor any left-to-right product that
@@ -98,6 +102,10 @@ class SamplePlan:
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {self.threads}")
 
+    @property
+    def tile(self) -> int:
+        return TILE if self.threads == 1 else RAW_BLOCK
+
 
 class CoverEvaluator:
     """Vectorized Theta sums of some pure covers, one table row per distinct simplex.
@@ -130,28 +138,40 @@ class CoverEvaluator:
         return np.array([functools.reduce(operator.add, rows(thetas)) for rows in self._cover_rows])
 
 
-def classified_block(seed: int, block: int, box_size: float):
+def classified_block(seed: int, block: int, box_size: float, tile: int = RAW_BLOCK):
     """The case-4 samples (a > 0, b < 0) of one raw block as (eta, a, b), eta of shape (8, k).
 
-    Draws use kappa = N*(1-U) so every component is strictly positive.  kappa
-    lives in the thread's one draw buffer, so no block re-faults its pages;
-    each eta row, a and b is compressed once by the accepted indices, and no
-    returned array aliases the buffer.
+    Draws use kappa = N*(1-U) so every component is strictly positive.  The
+    block is drawn ``tile`` columns at a time, a divisor of ``RAW_BLOCK``,
+    with the bits of one Philox generator drawing all 12 rows: Philox is
+    counter-based, so a narrower tile gives each row its own generator,
+    started at that row's first counter.  Each tile lives in the thread's
+    one (12, tile) draw buffer, so no block re-faults its pages, and is
+    reduced, filtered and compressed once by its accepted indices; the
+    tiles' samples are joined in column order, and no returned array
+    aliases the buffer.
     """
-    rng = Generator(Philox(key=[np.uint64(seed), np.uint64(block)]))
-    if (kappa := getattr(_draws, "kappa", None)) is None:
-        kappa = _draws.kappa = np.empty((12, RAW_BLOCK))
-    rng.random(out=kappa)
-    np.subtract(1.0, kappa, out=kappa)
-    if box_size != 1.0:  # x*1.0 == x bit for bit for every finite x
-        kappa *= box_size
-    rows = _reduced(kappa)
-    a, b = ab_values(rows)
-    accepted = np.flatnonzero(is_case4(a, b))
-    eta = np.empty((8, accepted.size))
-    for row, out in zip(rows, eta):
-        row.take(accepted, out=out)
-    return eta, a[accepted], b[accepted]
+    if (kappa := getattr(_draws, "kappa", None)) is None or kappa.shape[1] != tile:
+        kappa = _draws.kappa = np.empty((12, tile))
+    # a whole block is one run of the stream; in a narrower tile each row is one
+    runs = [kappa] if tile == RAW_BLOCK else kappa
+    key = [np.uint64(seed), np.uint64(block)]
+    rngs = [Generator(Philox(key=key, counter=row * RAW_BLOCK // 4)) for row in range(len(runs))]
+    tiles = []
+    for _ in range(RAW_BLOCK // tile):
+        for rng, run in zip(rngs, runs):
+            rng.random(out=run)
+        np.subtract(1.0, kappa, out=kappa)
+        if box_size != 1.0:  # x*1.0 == x bit for bit for every finite x
+            kappa *= box_size
+        rows = _reduced(kappa)
+        a, b = ab_values(rows)
+        accepted = np.flatnonzero(is_case4(a, b))
+        eta = np.empty((8, accepted.size))
+        for row, out in zip(rows, eta):
+            row.take(accepted, out=out)
+        tiles.append((eta, a[accepted], b[accepted]))
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*tiles))
 
 
 def case4_thetas(evaluator: CoverEvaluator, coeffs: np.ndarray, c_m):
@@ -172,15 +192,17 @@ def _accepted_blocks(plan: SamplePlan, task):
     A task returns a raw block's accepted samples as arrays, samples on the
     last axis; one item per raw block, so callers can count raw draws.  Only
     the last is truncated, to exactly ``target_case4_samples`` samples.  One
-    thread runs tasks inline; a pool starts them ahead (one per thread until
-    the first returns, then at most
-    ``LOOKAHEAD_PER_THREAD`` per thread) only while those in flight, at the
-    acceptance seen so far, fall short of the samples still needed; any not
-    yet started when the stream closes are cancelled.
+    thread runs tasks inline; a pool starts them ahead only while those in
+    flight, at the acceptance seen so far, fall short of the samples still
+    needed.  Until the first returns it starts one per thread, but no more
+    than the target needs if every draw were accepted; after that at most
+    ``LOOKAHEAD_PER_THREAD`` per thread.  Any not yet started when the
+    stream closes are cancelled.
     """
     pool = ThreadPoolExecutor(max_workers=plan.threads) if plan.threads > 1 else None
     ahead = deque()
     remaining = plan.target_case4_samples
+    first_wave = min(plan.threads, -(-remaining // RAW_BLOCK))  # a block yields <= RAW_BLOCK samples
     try:
         for block in count():
             if pool is None:
@@ -189,7 +211,7 @@ def _accepted_blocks(plan: SamplePlan, task):
                 accepted = plan.target_case4_samples - remaining
                 while len(ahead) < LOOKAHEAD_PER_THREAD * plan.threads and (
                         len(ahead) * accepted < remaining * block if block
-                        else len(ahead) < plan.threads):
+                        else len(ahead) < first_wave):
                     ahead.append(pool.submit(task, block + len(ahead)))
                 item = ahead.popleft().result()
             if item[0].shape[-1] >= remaining:
@@ -204,7 +226,7 @@ def _accepted_blocks(plan: SamplePlan, task):
 
 def _sample_block(plan: SamplePlan, block: int):
     """``sample_case4``'s block task: (eta, coeffs, c_m) of one raw block's case-4 samples."""
-    eta, a, b = classified_block(plan.seed, block, plan.box_size)
+    eta, a, b = classified_block(plan.seed, block, plan.box_size, plan.tile)
     return (eta, *hex_coefficient_arrays(eta, a, b))
 
 

@@ -19,6 +19,7 @@ from hexcover.experiment import (
     MAX_THREADS,
     RAW_BLOCK,
     SWEEP_SLACK,
+    TILE,
     CoverEvaluator,
     CoverHitMatrix,
     SamplePlan,
@@ -91,11 +92,12 @@ def test_draws_strictly_positive_and_in_box():
             assert (eta[row] > 0).all() and (eta[row] <= box).all()
 
 
-@pytest.mark.parametrize("case", ["case4"])  # the sampler keeps no other case
+# the sampler keeps no other case; whole blocks are the pool's tiles, TILE the inline width
+@pytest.mark.parametrize("case, tile", [("case4", RAW_BLOCK), ("case4", TILE)], ids=["case4", "case4-tile"])
 @pytest.mark.parametrize("box", [1.0, 3.7, 2.0**-99, 2.0**150])
-def test_classified_block_matches_stacked_reference(stacked_block, case, box):
+def test_classified_block_matches_stacked_reference(stacked_block, case, tile, box):
     for block in range(4):
-        got, want = classified_block(7, block, box), stacked_block(7, block, box, case)
+        got, want = classified_block(7, block, box, tile), stacked_block(7, block, box, case)
         for x, y in zip(got, want):
             assert x.shape == y.shape and x.flags.c_contiguous
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
@@ -162,12 +164,12 @@ def test_pool_does_not_run_cancelled_lookahead(monkeypatch):
     calls, released = [], threading.Event()
     original = experiment.classified_block
 
-    def counted(seed, block, box_size):
+    def counted(seed, block, box_size, tile):
         calls.append(block)
         if block >= needed:
             # hold each unneeded block so the look-ahead cannot drain before the stream closes
             released.wait(timeout=1.0)
-        return original(seed, block, box_size)
+        return original(seed, block, box_size, tile)
 
     monkeypatch.setattr(experiment, "classified_block", counted)
     try:
@@ -182,13 +184,18 @@ def test_lookahead_draws_only_needed_blocks(monkeypatch):
     calls = []
     original = experiment.classified_block
 
-    def counted(seed, block, box_size):
+    def counted(seed, block, box_size, tile):
         calls.append(block)
-        return original(seed, block, box_size)
+        return original(seed, block, box_size, tile)
 
     monkeypatch.setattr(experiment, "classified_block", counted)
-    run = evaluate_covers(SamplePlan(target_case4_samples=100_000, seed=5, threads=4))
-    assert sorted(calls) == list(range(run.raw_draws // RAW_BLOCK))
+    # the first wave may not start a block per thread when n needs fewer,
+    # e.g. 16 blocks for n = 1, or 8 for the 3 that n = 20,000 needs
+    for threads, n in [(4, 100_000), (16, 1), (4, 1000), (8, 20_000)]:
+        calls.clear()
+        run = evaluate_covers(SamplePlan(target_case4_samples=n, seed=5, threads=threads))
+        assert run.n == n
+        assert sorted(calls) == list(range(run.raw_draws // RAW_BLOCK)), (threads, n)
 
 
 def test_theta_sums_batch_of_one_matches_block():
@@ -321,6 +328,27 @@ def _kept_bytes(plan, keep_theta):
         tracemalloc.stop()
 
 
+def test_serial_run_peak_stays_within_a_few_tiles():
+    """A serial run's traced peak, its draw buffer included, in a thread that has none yet."""
+    evaluate_covers(SamplePlan(target_case4_samples=1), keep_theta=())  # fill the module caches
+    peak = []
+
+    def run():
+        tracemalloc.start()
+        try:
+            evaluate_covers(SamplePlan(target_case4_samples=200_000, seed=11), keep_theta=(4, 9, 15))
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(peak) == 1
+    # about 3.5 MB with TILE-wide draws; a full-width (12, RAW_BLOCK) buffer alone is 6.3 MB
+    assert peak[0] < 5_000_000
+
+
 def test_run_keeps_no_per_sample_arrays():
     run, kept = _kept_bytes(SamplePlan(target_case4_samples=200_000, seed=11), ())
     assert run.n == 200_000
@@ -348,10 +376,14 @@ def test_serial_run_reuses_its_pages():
 
 
 def test_classified_blocks_of_one_thread_share_no_memory():
-    first, second = classified_block(0, 0, 1.0), classified_block(0, 1, 1.0)
-    for x in first:
-        for y in second:
-            assert not np.shares_memory(x, y)
+    for tile in (RAW_BLOCK, TILE):
+        first, second = classified_block(0, 0, 1.0, tile), classified_block(0, 1, 1.0, tile)
+        buffer = experiment._draws.kappa
+        assert buffer.shape == (12, tile)
+        for x in first:
+            assert not np.shares_memory(x, buffer)
+            for y in second:
+                assert not np.shares_memory(x, y)
 
 
 def test_block_task_runs_on_workers(monkeypatch):
