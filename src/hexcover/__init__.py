@@ -18,12 +18,10 @@ from .geometry import (
 from .circuits import (
     CircuitSupport,
     PureCover,
-    WeightedCover,
     circuit_number,
     cover_theta_sum,
     is_nonnegative,
     optimize_scalar_weight,
-    weighted_theta_sum,
 )
 from .covers import all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers, parse_cover
 from .model import (

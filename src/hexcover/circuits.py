@@ -9,9 +9,9 @@ nonnegativity on the positive orthant: the polynomial is nonnegative iff
 Theta has one expression: numpy's exp of ``theta_exponent``, const + sum_i
 lambda_i log c_i added left to right, with each simplex's lambdas and const
 compiled once.  A batch takes one exp per simplex row; a point
-(``cover_theta_sum``, ``circuit_number``, ``weighted_theta_sum``) adds its
-exponents on Python floats and takes one exp over them.  All other operations
-are correctly rounded, so a point gets its sample's bits.
+(``cover_theta_sum``, ``circuit_number``) adds its exponents on Python floats
+and takes one exp over them.  All other operations are correctly rounded, so
+a point gets its sample's bits.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class PureCover:
     simplices: tuple[Simplex, ...]
 
 
-def cover_theta_sum(cover, coeffs) -> float:
-    """Theta sum of a :class:`PureCover` or plain simplex sequence around the hexagon's m.
+def cover_theta_sum(cover: PureCover, coeffs) -> float:
+    """Theta sum of a :class:`PureCover` around the hexagon's m.
 
     ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column of ``hex_coefficient_arrays``
     or a mapping of the ten points, converted once; ValueError unless all are
@@ -137,55 +137,8 @@ def cover_theta_sum(cover, coeffs) -> float:
     column = np.asarray(coeffs, dtype=float)
     if column.shape != (len(HEXAGON_POSITIVE),) or not all(v > 0 for v in column.tolist()):
         raise ValueError(f"need ten positive coefficients, got {column}")
-    thetas = theta_rows(_simplex_table(tuple(getattr(cover, "simplices", cover))), np.log(column))
+    thetas = theta_rows(_simplex_table(cover.simplices), np.log(column))
     return functools.reduce(operator.add, thetas, 0.0)  # left to right, as the batch adds
-
-
-WEIGHT_TOL = 1e-12  # slack of the WeightedCover invariants
-
-
-@dataclass(frozen=True)
-class WeightedCover:
-    """Convex-combination splitting of vertex coefficients across several covers.
-
-    ``covers`` holds pure covers or plain simplex lists; ``weights`` maps (cover
-    index, one of its points) to a weight in [0, 1], a missing one reading as 1;
-    at each point the weights of the covers using it sum to 1 within ``WEIGHT_TOL``.
-    """
-
-    covers: tuple
-    weights: Mapping[tuple[int, LatticePoint], float]
-
-    def __post_init__(self):
-        used = [{v for s in getattr(cover, "simplices", cover) for v in s.vertices} for cover in self.covers]
-        for (i, v), w in self.weights.items():
-            if not (0 <= i < len(used) and v in used[i]) or w < -WEIGHT_TOL:
-                raise ValueError(f"weight {w} at cover {i}, point {v}: negative or not a point of the cover")
-        totals: dict[LatticePoint, float] = {}
-        for i, points in enumerate(used):
-            for v in points:
-                totals[v] = totals.get(v, 0.0) + self.weights.get((i, v), 1.0)
-        for v, t in totals.items():
-            if abs(t - 1.0) > WEIGHT_TOL:
-                raise ValueError(f"weights at {v} sum to {t}, expected 1")
-
-
-def weighted_theta_sum(w: WeightedCover, coeffs: Mapping[LatticePoint, float]) -> float:
-    """Theta sum of a weighted cover around m; zero-weight simplices contribute exactly 0.
-
-    A vanishing effective coefficient sends the whole circuit number to its
-    continuous limit 0 (w**lambda times a positive factor as w -> 0), keeping
-    homotopy endpoints well defined.
-    """
-    exponents = []
-    for i, cover in enumerate(w.covers):
-        for s in getattr(cover, "simplices", cover):
-            eff = [w.weights.get((i, v), 1.0) * coeffs[v] for v in s.vertices]
-            if any(c <= 0 for c in eff):
-                continue  # limit contribution is exactly zero
-            lams, const = _compiled_simplex(s, M)
-            exponents.append(theta_exponent(enumerate(lams), const, np.log(eff).tolist()))
-    return functools.reduce(operator.add, np.exp(exponents).tolist(), 0.0)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -196,13 +149,14 @@ def optimize_scalar_weight(theta_fn: Callable[[float], float],
     """Maximize ``theta_fn`` on [0, 1]: golden-section search plus a 101-point grid.
 
     Unimodality is assumed but not proven for our objectives, so the grid scan
-    guards against a golden-section miss; the better of the two wins.
+    guards against a golden-section miss; the better of the two wins.  The
+    bracket shrinks on every pass, so any ``tol``, even 0 or negative, returns.
     """
     a, b = 0.0, 1.0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = theta_fn(c), theta_fn(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:  # within a few ulps the golden points stop moving
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

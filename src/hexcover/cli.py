@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuits import (CircuitSupport, WeightedCover, circuit_number, cover_theta_sum,
-                       optimize_scalar_weight, weighted_theta_sum)
+from .circuits import CircuitSupport, circuit_number, cover_theta_sum, optimize_scalar_weight
 from .covers import (all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers,
                      fixture_keys, point_configuration)
 from .geometry import A1, A2, A4, A6, M, LatticePoint, Simplex, hexagon_points
@@ -369,10 +368,13 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     theta = circuit_number(CircuitSupport(tri, M, {A4: 1.0, A2: 1.0, A6: 1.0}))
     checks.append(("circuit_number_theta_3", abs(theta - 3.0) <= 1e-12, f"theta={theta!r}"))
 
-    ones = {v: 1.0 for v in (A1, A2, A4, A6)}
-
     def toy(w):  # split a4's coefficient between the triangle (w) and the segment (1 - w)
-        return weighted_theta_sum(WeightedCover(((tri,), (seg,)), {(0, A4): w, (1, A4): 1.0 - w}), ones)
+        total = 0.0
+        if w > 0:
+            total += circuit_number(CircuitSupport(tri, M, {A4: w, A2: 1.0, A6: 1.0}))
+        if w < 1:
+            total += circuit_number(CircuitSupport(seg, M, {A1: 1.0, A4: 1.0 - w}))
+        return total
 
     w_opt, value = optimize_scalar_weight(toy)
     checks.append(("toy_weighted_optimum",

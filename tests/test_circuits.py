@@ -1,7 +1,11 @@
-"""Circuit numbers, cover sums, weighted covers, and the soundness oracle."""
+"""Circuit numbers, cover sums, the toy weighted split, and the soundness oracle."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +14,10 @@ from hypothesis import given, strategies as st
 from hexcover.circuits import (
     CircuitSupport,
     NotACircuitError,
-    WeightedCover,
     circuit_number,
     cover_theta_sum,
     is_nonnegative,
     optimize_scalar_weight,
-    weighted_theta_sum,
 )
 from hexcover.covers import cover_fixture
 from hexcover.geometry import (
@@ -111,57 +113,7 @@ def test_cover_theta_sum_rejects_nonpositive():
         cover_theta_sum(cover_fixture(9), bad)
 
 
-# ---------------------------------------------------------- weighted covers
-
-
-def scalar_weights(covers, ts):
-    """The WeightedCover giving cover i the weight ts[i] at every one of its points."""
-    return WeightedCover(tuple(covers), {(i, v): t for i, (cover, t) in enumerate(zip(covers, ts))
-                                         for s in cover.simplices for v in s.vertices})
-
-
-def test_weighted_degenerate_equals_pure(rng):
-    cover = cover_fixture(9)
-    w = scalar_weights([cover], [1.0])
-    coeffs = {p: float(c) for p, c in zip(HEXAGON_POSITIVE, rng.uniform(0.1, 10.0, 10))}
-    assert math.isclose(weighted_theta_sum(w, coeffs), cover_theta_sum(cover, coeffs),
-                        rel_tol=1e-12)
-
-
-@given(st.floats(min_value=0.0, max_value=1.0))
-def test_scalar_weighting_is_linear_combination(t):
-    covers = [cover_fixture(4), cover_fixture(9)]
-    coeffs = {p: 1.0 + 0.1 * i for i, p in enumerate(HEXAGON_POSITIVE)}
-    w = scalar_weights(covers, [1.0 - t, t])
-    expected = (1.0 - t) * cover_theta_sum(covers[0], coeffs) + t * cover_theta_sum(covers[1], coeffs)
-    assert math.isclose(weighted_theta_sum(w, coeffs), expected, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_missing_weights_read_as_one_in_the_invariant():
-    # with no weights, covers 4 and 9 would each take every coefficient whole:
-    # weighted_theta_sum would give Theta4 + Theta9 with unit coefficients
-    with pytest.raises(ValueError):
-        WeightedCover((cover_fixture(4), cover_fixture(9)), {})
-    cover = cover_fixture(9)
-    point = cover.simplices[0].vertices[0]
-    with pytest.raises(ValueError):  # cover 0 gives half, cover 1's missing weight reads as 1
-        WeightedCover((cover, cover), {(0, point): 0.5})
-    WeightedCover((cover,), {})  # one cover, every weight 1
-
-
-def test_weight_at_a_point_outside_its_cover_raises():
-    stray = next(p for p in HEXAGON_POSITIVE if p not in TRIANGLE.vertices)
-    for key in ((0, stray), (2, TRIANGLE.vertices[0])):  # cover 0 lacks stray; there is no cover 2
-        with pytest.raises(ValueError):
-            WeightedCover(((TRIANGLE,), (SEGMENT,)), {key: 1.0})
-
-
-def test_weight_invariant_violation_raises():
-    cover = cover_fixture(9)
-    with pytest.raises(ValueError):
-        scalar_weights([cover, cover], [0.5, 0.6])
-    with pytest.raises(ValueError):
-        WeightedCover((cover,), {(0, LatticePoint(0, 0)): -0.5, (0, LatticePoint(2, 0)): 1.0})
+# ------------------------------------------------------- toy weighted split
 
 
 def toy_objective(w):
@@ -189,6 +141,18 @@ def test_optimizer_constant_and_linear():
     assert value == 7.0
     w, value = optimize_scalar_weight(lambda t: (1 - t) * 10.0 + t * 8.0)
     assert w == 0.0 and value == 10.0
+
+
+def test_optimizer_returns_for_zero_and_negative_tol():
+    # below the float spacing the golden points stop moving; a subprocess turns a hang into a failure
+    code = ("from hexcover.circuits import optimize_scalar_weight\n"
+            "for tol in (0.0, -1.0):\n"
+            "    w, value = optimize_scalar_weight(lambda t: -(t - 0.3) ** 2, tol=tol)\n"
+            "    assert abs(w - 0.3) <= 1e-6 and value <= 0.0, (tol, w, value)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 # -------------------------------------------------------------- properties

@@ -441,6 +441,7 @@ def test_selftest_json(capsys):
     assert set(obj) == {"circuit_number_theta_3", "toy_weighted_optimum",
                         "cover_10_12_swap_symmetry", "closed_form_vs_theta_sum"}
     assert all(v["pass"] for v in obj.values())
+    assert obj["toy_weighted_optimum"]["detail"] == "w=0.54970 value=3.79960"
 
 
 def test_selftest_detects_perturbed_bound(monkeypatch, capsys):
