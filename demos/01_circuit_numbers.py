@@ -14,12 +14,13 @@ from hexcover import (
     is_nonnegative,
     optimize_scalar_weight,
 )
+from hexcover.cli import toy_split
 from hexcover.geometry import M
 
 # The canonical triangle: vertices (4,2), (2,0), (0,1) with m = (2,1) inside.
 tri = Simplex((LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)))
 lam = barycentric_coordinates(tri, M)
-print("barycentrics of m in the canonical triangle:", lam.lambdas)
+print("barycentrics of m in the canonical triangle:", lam)
 
 # Unit coefficients give Theta = 3: the polynomial
 #   x^4 y^2 + x^2 + y - c x^2 y
@@ -39,21 +40,7 @@ print("segment Theta with coefficients (4, 9):",
 # Splitting a coefficient across two circuits can beat either circuit alone.
 # g(x,y) = x^4 y^2 + x^2 + y + 1 - c x^2 y supports the triangle above plus the
 # segment {(0,0),(4,2)}; the vertex (4,2) is shared with weight w vs 1-w.
-diag = Simplex((LatticePoint(0, 0), LatticePoint(4, 2)))
-
-
-def split_objective(w: float) -> float:
-    total = 0.0
-    if w > 0:
-        total += circuit_number(CircuitSupport(
-            tri, M, {LatticePoint(4, 2): w, LatticePoint(2, 0): 1.0, LatticePoint(0, 1): 1.0}))
-    if w < 1:
-        total += circuit_number(CircuitSupport(
-            diag, M, {LatticePoint(0, 0): 1.0, LatticePoint(4, 2): 1.0 - w}))
-    return total
-
-
-w_opt, value = optimize_scalar_weight(split_objective)
+w_opt, value = optimize_scalar_weight(toy_split)
 print(f"optimal split weight w = {w_opt:.4f}, Theta sum = {value:.4f}")
 print("  (either circuit alone certifies less: "
-      f"w=1 -> {split_objective(1.0):.4f}, w=0 -> {split_objective(0.0):.4f})")
+      f"w=1 -> {toy_split(1.0):.4f}, w=0 -> {toy_split(0.0):.4f})")

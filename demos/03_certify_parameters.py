@@ -29,13 +29,13 @@ eta = case4_eta_points(1, seed=2024)[0]
 a, b = ab_values(eta)
 print(f"\nsampled case-4 point: a = {a:.4g}, b = {b:.4g}")
 
-coeffs = hex_coefficients(eta)
-neg_cm = -coeffs.c_m
+coeffs, c_m = hex_coefficients(eta)
+neg_cm = -c_m
 print(f"certificate threshold -c_m = {neg_cm:.6g}\n")
 
 hits = []
 for cover in all_covers():
-    theta = cover_theta_sum(cover, coeffs.coeffs)
+    theta = cover_theta_sum(cover, coeffs)
     verdict = "certified" if theta >= neg_cm else "-"
     hits.append(theta >= neg_cm)
     print(f"CC({cover.id:>2}): Theta sum = {theta:10.4f}  {verdict}")
@@ -48,4 +48,4 @@ print("\nclosed-form bounds (certificate holds iff -b <= bound):")
 for cid in (4, 9, 10, 12, 15):
     bound = closed_form_bound(cid, eta)
     print(f"  CC({cid:>2}): bound = {bound:10.4f}   Theta/prefactor = "
-          f"{cover_theta_sum(all_covers()[cid - 1], coeffs.coeffs) / pref:10.4f}")
+          f"{cover_theta_sum(all_covers()[cid - 1], coeffs) / pref:10.4f}")

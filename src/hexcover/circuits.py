@@ -62,7 +62,7 @@ def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[f
     lam = barycentric_coordinates(simplex, interior)
     if lam is None:
         raise NotACircuitError(f"{interior} not in the relative interior of {simplex.vertices}")
-    lams = lam.as_floats()
+    lams = tuple(map(float, lam))
     return lams, -sum(l * math.log(l) for l in lams)
 
 
@@ -127,13 +127,11 @@ class PureCover:
 def cover_theta_sum(cover: PureCover, coeffs) -> float:
     """Theta sum of a :class:`PureCover` around the hexagon's m.
 
-    ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column of ``hex_coefficient_arrays``
-    or a mapping of the ten points, converted once; ValueError unless all are
-    positive.  ``theta_rows`` runs on the cover's cached table, as in
-    ``CoverEvaluator``, so the sum has the batch's bits; callers compare it to -c_m.
+    ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column of ``hex_coefficient_arrays``;
+    ValueError unless it has that shape and all ten are positive.
+    ``theta_rows`` runs on the cover's cached table, as in ``CoverEvaluator``,
+    so the sum has the batch's bits; callers compare it to -c_m.
     """
-    if isinstance(coeffs, Mapping):
-        coeffs = [coeffs[p] for p in HEXAGON_POSITIVE]
     column = np.asarray(coeffs, dtype=float)
     if column.shape != (len(HEXAGON_POSITIVE),) or not all(v > 0 for v in column.tolist()):
         raise ValueError(f"need ten positive coefficients, got {column}")

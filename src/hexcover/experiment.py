@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import threading
 from collections import deque
@@ -52,12 +53,14 @@ _draws = threading.local()  # each thread's reused (12, tile) draw buffer
 class SamplePlan:
     """Sampling configuration for one experiment run.
 
-    ``threads`` (1 to ``MAX_THREADS``) sets how many worker threads draw
-    blocks; it never changes the sample stream, which depends only on the seed
-    and the box size.  It sets ``tile``, the width each block is drawn and
-    classified in: ``TILE`` columns when the blocks run inline, so the draw
-    buffer and its temporaries stay in cache, and the whole block on a pool,
-    where narrow tiles multiply the GIL hand-offs between the workers.
+    ``target_case4_samples``, ``seed`` and ``threads`` are integers, Python's
+    or numpy's; any other type raises ValueError.  ``threads`` (1 to
+    ``MAX_THREADS``) sets how many worker threads draw blocks; it never
+    changes the sample stream, which depends only on the seed and the box
+    size.  It sets ``tile``, the width each block is drawn and classified in:
+    ``TILE`` columns when the blocks run inline, so the draw buffer and its
+    temporaries stay in cache, and the whole block on a pool, where narrow
+    tiles multiply the GIL hand-offs between the workers.
 
     ``box_size`` N must lie in ``BOX_RANGE`` = [2^-99, 2^150].  There no draw
     can push a, b, a coefficient or c_m, nor any left-to-right product that
@@ -93,6 +96,9 @@ class SamplePlan:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("target_case4_samples", "seed", "threads"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.target_case4_samples < 1:
             raise ValueError("target_case4_samples must be >= 1")
         if not BOX_RANGE[0] <= self.box_size <= BOX_RANGE[1]:

@@ -75,18 +75,8 @@ def _signed_area2(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
     return (b.x - a.x) * (c.z - a.z) - (b.z - a.z) * (c.x - a.x)
 
 
-@dataclass(frozen=True)
-class Barycentrics:
-    """Barycentric coordinates of a point with respect to simplex vertices."""
-
-    lambdas: tuple[Fraction, ...]
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(l) for l in self.lambdas)
-
-
-def barycentric_coordinates(s: Simplex, p: LatticePoint) -> Barycentrics | None:
-    """Exact barycentric coordinates of ``p`` in ``s``, or None if outside.
+def barycentric_coordinates(s: Simplex, p: LatticePoint) -> tuple[Fraction, ...] | None:
+    """Exact barycentric coordinates of ``p`` in ``s``, one Fraction per vertex, or None if outside.
 
     "Outside" covers any lambda <= 0 or >= 1, and (for segments) points off
     the affine hull.  The same overdetermined solve handles both simplex
@@ -117,7 +107,7 @@ def barycentric_coordinates(s: Simplex, p: LatticePoint) -> Barycentrics | None:
         lambdas = (1 - t, t)
     if any(l <= 0 or l >= 1 for l in lambdas):
         return None
-    return Barycentrics(lambdas)
+    return lambdas
 
 
 def contains_in_relative_interior(s: Simplex, p: LatticePoint) -> bool:

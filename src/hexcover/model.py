@@ -8,7 +8,9 @@ one negative coefficient at m = (2, 1), and each circuit cover yields a
 sufficient certificate of nonnegativity (hence monostationarity).  The
 coefficient formulas run only in ``hex_coefficient_arrays``, on a point's 8
 floats or on a batch, with correctly rounded products only, so a point and its
-Monte-Carlo sample get the same bits.
+Monte-Carlo sample get the same bits.  A point's coefficients are one (10,)
+column in ``HEXAGON_POSITIVE`` order plus the float c_m, as a batch's are a
+(10, k) array plus a (k,) row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .circuits import cover_theta_sum
 from .covers import cover_fixture
-from .geometry import A1, A2, A3, A4, A5, A6, B1, B2, HEXAGON_POSITIVE, I1, I2, LatticePoint
+from .geometry import A1, A2, A3, A4, A5, A6, B1, B2, HEXAGON_POSITIVE, I1, I2
 
 
 @dataclass(frozen=True)
@@ -129,18 +131,6 @@ def classify(eta: EtaPoint) -> SignCase:
     return SignCase(tag, a, b)
 
 
-@dataclass(frozen=True)
-class HexCoefficients:
-    """Coefficients of the restricted polynomial on the hexagonal face.
-
-    ``coeffs`` maps the ten positive support points to their coefficients;
-    ``c_m`` is the coefficient of x1^2*x3 (negative in case 4).
-    """
-
-    coeffs: dict[LatticePoint, float]
-    c_m: float
-
-
 def hex_coefficient_arrays(eta, a, b):
     """Positive coefficients in ``HEXAGON_POSITIVE`` order and c_m, of 8 eta rows.
 
@@ -173,19 +163,19 @@ def negative_prefactor(eta: EtaPoint) -> float:
     return eta.K1 * eta.K2 * eta.K3 * eta.k3 * eta.k6 * eta.k12
 
 
-def hex_coefficients(eta: EtaPoint) -> HexCoefficients:
-    """The eleven monomial coefficients: ``hex_coefficient_arrays`` on the point's 8 floats.
+def hex_coefficients(eta: EtaPoint) -> tuple[np.ndarray, float]:
+    """(coeffs, c_m) of a case-4 point: ``hex_coefficient_arrays`` on its 8 floats.
 
-    The kernel's products are correctly rounded, so the point gets the bits
-    of its Monte-Carlo sample.  Non-case-4 input is rejected: outside case 4
-    the three a-multiplied coefficients are not all positive and the
-    object's invariant cannot hold.
+    ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column, all positive, and
+    c_m < 0 the coefficient of x1^2*x3.  The kernel's products are correctly
+    rounded, so the point gets the bits of its Monte-Carlo sample.
+    Non-case-4 input is rejected: outside case 4 the three a-multiplied
+    coefficients are not all positive.
     """
     sc = classify(eta)
     if sc.tag is not Case.CASE4_A_POS_B_NEG:
         raise ValueError(f"hex coefficients require case 4 input, got {sc.tag.name}")
-    coeffs, c_m = hex_coefficient_arrays(eta.as_tuple(), sc.a_value, sc.b_value)
-    return HexCoefficients(coeffs=dict(zip(HEXAGON_POSITIVE, coeffs.tolist())), c_m=c_m)
+    return hex_coefficient_arrays(eta.as_tuple(), sc.a_value, sc.b_value)
 
 
 def eval_p_eta(eta: EtaPoint, x1: float, x2: float, x3: float) -> float:
@@ -214,10 +204,10 @@ def eval_p_eta(eta: EtaPoint, x1: float, x2: float, x3: float) -> float:
     return value
 
 
-def eval_hex_poly(coeffs: HexCoefficients, x1, x3):
-    """Evaluate the hexagon-restricted bivariate polynomial from its coefficients."""
-    value = coeffs.c_m * x1**2 * x3
-    for p, c in coeffs.coeffs.items():
+def eval_hex_poly(coeffs, c_m, x1, x3):
+    """Evaluate the hexagon-restricted bivariate polynomial from its (10,) column and c_m."""
+    value = c_m * x1**2 * x3
+    for p, c in zip(HEXAGON_POSITIVE, coeffs):
         value = value + c * x1**p.x * x3**p.z
     return value
 
@@ -232,7 +222,8 @@ def closed_form_bound(cover_id: int, eta: EtaPoint, theta_sum: float | None = No
     bound equals the cover's Theta sum divided by the prefactor K1*K2*K3*k3*k6*k12.
     Cover 9 has no displayed simplification, so its bound is that quotient of
     ``theta_sum`` when the caller holds the sum (``certify`` does), else of
-    ``cover_theta_sum`` on ``hex_coefficients``; the other covers ignore it.
+    ``cover_theta_sum`` on the ``hex_coefficients`` column; the other covers
+    ignore it.
     """
     K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
     a, b = ab_values(eta)
@@ -268,6 +259,6 @@ def closed_form_bound(cover_id: int, eta: EtaPoint, theta_sum: float | None = No
         )
     if cover_id == 9:
         if theta_sum is None:
-            theta_sum = cover_theta_sum(cover_fixture(9), hex_coefficients(eta).coeffs)
+            theta_sum = cover_theta_sum(cover_fixture(9), hex_coefficients(eta)[0])
         return theta_sum / negative_prefactor(eta)
     raise ValueError(f"no closed-form bound for cover {cover_id}; supported: {CLOSED_FORM_IDS}")

@@ -59,19 +59,7 @@ def test_criterion_02_circuit_number_fixtures():
     start = time.perf_counter()
     tri = Simplex((LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)))
     theta = circuit_number(CircuitSupport(tri, M, {v: 1.0 for v in tri.vertices}))
-    seg = Simplex((LatticePoint(0, 0), LatticePoint(4, 2)))
-
-    def toy(w):
-        total = 0.0
-        if w > 0:
-            total += circuit_number(CircuitSupport(
-                tri, M, {v: (w if v == LatticePoint(4, 2) else 1.0) for v in tri.vertices}))
-        if w < 1:
-            total += circuit_number(CircuitSupport(
-                seg, M, {LatticePoint(0, 0): 1.0, LatticePoint(4, 2): 1.0 - w}))
-        return total
-
-    w_opt, value = optimize_scalar_weight(toy)
+    w_opt, value = optimize_scalar_weight(cli.toy_split)
     elapsed = time.perf_counter() - start
     ok = (abs(theta - 3.0) <= 1e-12 and abs(w_opt - 0.5497) <= 1e-3
           and abs(value - 3.7996) <= 1e-3 and elapsed < 1.0)
@@ -83,11 +71,11 @@ def test_criterion_03_closed_form_identity():
     worst = 0.0
     for box in (0.1, 1.0, 10.0, 100.0):
         for eta in case4_eta_points(100, seed=SEED, box_size=box):
-            coeffs = hex_coefficients(eta)
+            coeffs, _ = hex_coefficients(eta)
             pref = negative_prefactor(eta)
             for cid in (4, 10, 12, 15):
                 lhs = closed_form_bound(cid, eta) * pref
-                rhs = cover_theta_sum(cover_fixture(cid), coeffs.coeffs)
+                rhs = cover_theta_sum(cover_fixture(cid), coeffs)
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0

@@ -19,10 +19,12 @@ from hexcover.circuits import (
     is_nonnegative,
     optimize_scalar_weight,
 )
+from hexcover.cli import toy_split
 from hexcover.covers import cover_fixture
 from hexcover.geometry import (
     HEXAGON_POSITIVE,
     M,
+    POINT_INDEX,
     DegenerateSimplexError,
     LatticePoint,
     Simplex,
@@ -76,11 +78,10 @@ def test_hexagon_circuit_closed_form():
 
     tri = Simplex((LatticePoint(2, 0), LatticePoint(0, 1), LatticePoint(4, 2)))
     for eta in case4_eta_points(20, seed=11):
-        coeffs = hex_coefficients(eta)
+        coeffs, c_m = hex_coefficients(eta)
         a, b = ab_values(eta)
         P = negative_prefactor(eta)
-        support = CircuitSupport(tri, M, {v: coeffs.coeffs[v] for v in tri.vertices},
-                                 coeffs.c_m)
+        support = CircuitSupport(tri, M, {v: coeffs[POINT_INDEX[v]] for v in tri.vertices}, c_m)
         rhs = 3.0 * P * (eta.K1 * eta.K4**2 * eta.k6**2 * eta.k9**2 * a) ** (1 / 3)
         assert math.isclose(circuit_number(support), rhs, rel_tol=1e-12)
         assert is_nonnegative(support) == (-b * P <= rhs)
@@ -91,8 +92,8 @@ def test_cover_theta_sum_all_ones():
     midpoint_cover = cover_fixture(16)
     for s in midpoint_cover.simplices:
         lam = barycentric_coordinates(s, M)
-        assert set(lam.lambdas) == {type(lam.lambdas[0])(1, 2)}
-    ones = {p: 1.0 for p in HEXAGON_POSITIVE}
+        assert set(lam) == {type(lam[0])(1, 2)}
+    ones = np.ones(len(HEXAGON_POSITIVE))
     assert math.isclose(cover_theta_sum(midpoint_cover, ones), 10.0, rel_tol=1e-12)
     # the barycentric two-triangle cover: 3 + 3 + 2 + 2 = 10
     assert math.isclose(cover_theta_sum(cover_fixture(9), ones), 10.0, rel_tol=1e-12)
@@ -100,38 +101,29 @@ def test_cover_theta_sum_all_ones():
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_cover_theta_sum_homogeneous(t):
-    ones = {p: 1.0 for p in HEXAGON_POSITIVE}
-    scaled = {p: t for p in HEXAGON_POSITIVE}
+    ones = np.ones(len(HEXAGON_POSITIVE))
+    scaled = np.full(len(HEXAGON_POSITIVE), t)
     base = cover_theta_sum(cover_fixture(9), ones)
     assert math.isclose(cover_theta_sum(cover_fixture(9), scaled), t * base, rel_tol=1e-12)
 
 
 def test_cover_theta_sum_rejects_nonpositive():
-    bad = {p: 1.0 for p in HEXAGON_POSITIVE}
-    bad[LatticePoint(0, 0)] = 0.0
-    with pytest.raises(ValueError):
-        cover_theta_sum(cover_fixture(9), bad)
+    def column_with(value):
+        column = np.ones(len(HEXAGON_POSITIVE))
+        column[POINT_INDEX[LatticePoint(0, 0)]] = value
+        return column
+
+    for bad in (column_with(0.0), column_with(-1.0), column_with(math.nan), np.ones(9),
+                np.ones((len(HEXAGON_POSITIVE), 1))):
+        with pytest.raises(ValueError):
+            cover_theta_sum(cover_fixture(9), bad)
 
 
 # ------------------------------------------------------- toy weighted split
 
 
-def toy_objective(w):
-    """Theta sum of the toy split: triangle gets weight w at (4,2), segment 1-w."""
-    tri = Simplex((LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)))
-    seg = Simplex((LatticePoint(0, 0), LatticePoint(4, 2)))
-    total = 0.0
-    if w > 0:
-        total += circuit_number(CircuitSupport(
-            tri, M, {LatticePoint(4, 2): w, LatticePoint(2, 0): 1.0, LatticePoint(0, 1): 1.0}))
-    if w < 1:
-        total += circuit_number(CircuitSupport(
-            seg, M, {LatticePoint(0, 0): 1.0, LatticePoint(4, 2): 1.0 - w}))
-    return total
-
-
 def test_toy_weighted_optimum():
-    w_opt, value = optimize_scalar_weight(toy_objective)
+    w_opt, value = optimize_scalar_weight(toy_split)
     assert abs(w_opt - 0.5497) <= 1e-3
     assert abs(value - 3.7996) <= 1e-3
 

@@ -431,7 +431,9 @@ def test_parser_built_once_without_state_between_calls(capsys):
 
 
 def test_selftest(capsys):
-    assert run(capsys, "selftest")[0] == EXIT_OK
+    code, out, _ = run(capsys, "selftest")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        EXIT_OK, "fbb41e000f268bd3b4cb5eb10ec7485c35a8d4a352b5de6f3b49a5fac6a03201")
 
 
 def test_selftest_json(capsys):

@@ -35,7 +35,6 @@ from hexcover.experiment import (
     simplicial_homotopy,
     sweep_steps,
 )
-from hexcover.geometry import HEXAGON_POSITIVE
 from hexcover.model import _reduced, ab_values, is_case4
 
 
@@ -208,9 +207,8 @@ def test_theta_sums_batch_of_one_matches_block():
     assert np.array_equal(single.view(np.uint64), block.view(np.uint64))
     # the scalar definition stays the reference; only log/exp rounding may differ
     for j in range(0, 6000, 60):
-        point = dict(zip(HEXAGON_POSITIVE, coeffs[:, j]))
         for cover, theta in zip(evaluator.covers, block[:, j]):
-            assert math.isclose(theta, cover_theta_sum(cover, point), rel_tol=1e-12)
+            assert math.isclose(theta, cover_theta_sum(cover, coeffs[:, j]), rel_tol=1e-12)
 
 
 def test_histogram_statistics_match_per_sample_bits(small_run, small_masks):
@@ -594,9 +592,15 @@ def test_plan_validation():
         SamplePlan(target_case4_samples=0)
     with pytest.raises(ValueError):
         SamplePlan(box_size=0.0)
-    for bad in ({"box_size": math.nan}, {"box_size": math.inf}, {"seed": -1}, {"seed": 2**64}):
+    for bad in ({"box_size": math.nan}, {"box_size": math.inf}, {"seed": -1}, {"seed": 2**64},
+                {"seed": 42.9}, {"seed": 42.0}, {"seed": "42"}, {"target_case4_samples": 2000.5},
+                {"target_case4_samples": 1e6}, {"threads": 1.5}, {"threads": 2.0}):
         with pytest.raises(ValueError):
             SamplePlan(**bad)
+    # numpy integers are integers; validation only, no plan here is run
+    plan = SamplePlan(target_case4_samples=np.int64(2000), seed=np.uint64(2**64 - 1),
+                      threads=np.int32(2))
+    assert (plan.target_case4_samples, plan.seed, plan.threads) == (2000, 2**64 - 1, 2)
 
 
 def test_plan_box_range_ends():

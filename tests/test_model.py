@@ -13,11 +13,10 @@ from hexcover.covers import cover_fixture
 from hexcover import experiment, model
 from hexcover.experiment import (RAW_BLOCK, CoverEvaluator, SamplePlan, case4_eta_points,
                                  classified_block, hex_coefficient_arrays, sample_case4)
-from hexcover.geometry import A2, A4, A6, HEXAGON_POSITIVE, M
+from hexcover.geometry import A2, A4, A6, POINT_INDEX
 from hexcover.model import (
     Case,
     EtaPoint,
-    HexCoefficients,
     KappaVector,
     ab_values,
     classify,
@@ -138,19 +137,18 @@ def test_hex_coefficients_match_example_circuit():
     for eta in case4_eta_points(5, seed=21):
         K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
         a, b = ab_values(eta)
-        coeffs = hex_coefficients(eta)
-        assert math.isclose(coeffs.c_m, b * K1 * K2 * K3 * k3 * k6 * k12, rel_tol=1e-12)
-        assert math.isclose(coeffs.coeffs[A2], K1**2 * K2 * K3 * K4 * k3 * k6**2 * k9 * k12,
+        coeffs, c_m = hex_coefficients(eta)
+        assert math.isclose(c_m, b * K1 * K2 * K3 * k3 * k6 * k12, rel_tol=1e-12)
+        assert math.isclose(coeffs[POINT_INDEX[A2]], K1**2 * K2 * K3 * K4 * k3 * k6**2 * k9 * k12,
                             rel_tol=1e-12)
-        assert math.isclose(coeffs.coeffs[A6], K1**2 * K3**2 * k6**3 * k12**2, rel_tol=1e-12)
-        assert math.isclose(coeffs.coeffs[A4], a * K2**2 * K4 * k3**2 * k9, rel_tol=1e-12)
+        assert math.isclose(coeffs[POINT_INDEX[A6]], K1**2 * K3**2 * k6**3 * k12**2, rel_tol=1e-12)
+        assert math.isclose(coeffs[POINT_INDEX[A4]], a * K2**2 * K4 * k3**2 * k9, rel_tol=1e-12)
 
 
 def unchecked_coefficients(etas):
-    """HexCoefficients of each column of an (8, k) array, in any sign case."""
+    """(coeffs, c_m) of each column of an (8, k) array, in any sign case."""
     coeffs, c_m = hex_coefficient_arrays(etas, *ab_values(etas))
-    return [HexCoefficients(dict(zip(HEXAGON_POSITIVE, column.tolist())), float(cm))
-            for column, cm in zip(coeffs.T, c_m)]
+    return list(zip(coeffs.T, c_m.tolist()))
 
 
 def test_hex_coefficients_flag_non_case4():
@@ -158,8 +156,8 @@ def test_hex_coefficients_flag_non_case4():
     with pytest.raises(ValueError):
         hex_coefficients(eta)
     # the batch kernel checks no case and gives the raw (partially nonpositive) coefficients
-    [coeffs] = unchecked_coefficients(np.array(eta.as_tuple())[:, None])
-    assert coeffs.coeffs[A4] == 0.0
+    [(coeffs, _)] = unchecked_coefficients(np.array(eta.as_tuple())[:, None])
+    assert coeffs[POINT_INDEX[A4]] == 0.0
 
 
 def _h_part(eta, x1, x3):
@@ -177,10 +175,10 @@ def _h_part(eta, x1, x3):
 def test_hex_poly_matches_full_polynomial():
     rng = np.random.default_rng(5)
     for eta in case4_eta_points(20, seed=33):
-        coeffs = hex_coefficients(eta)
+        coeffs, c_m = hex_coefficients(eta)
         for _ in range(5):
             x1, x3 = rng.uniform(0.2, 5.0, 2)
-            direct = eval_hex_poly(coeffs, x1, x3)
+            direct = eval_hex_poly(coeffs, c_m, x1, x3)
             assert math.isclose(direct, _h_part(eta, x1, x3), rel_tol=1e-10)
 
 
@@ -196,8 +194,8 @@ def test_case2_attains_negative_values(case2_etas):
     grid = np.logspace(-4, 4, 100)
     x1, x3 = np.meshgrid(grid, grid, indexing="ij")
     found = 0
-    for coeffs in unchecked_coefficients(case2_etas(8, 20)):
-        if eval_hex_poly(coeffs, x1, x3).min() < 0:
+    for coeffs, c_m in unchecked_coefficients(case2_etas(8, 20)):
+        if eval_hex_poly(coeffs, c_m, x1, x3).min() < 0:
             found += 1
     assert found >= 19  # grid-resolution misses are rare
 
@@ -214,11 +212,11 @@ def test_eval_p_eta_rejects_nonpositive_x():
 def test_closed_form_matches_theta_sum():
     for box in (0.1, 1.0, 10.0, 100.0):
         for eta in case4_eta_points(25, seed=13, box_size=box):
-            coeffs = hex_coefficients(eta)
+            coeffs, _ = hex_coefficients(eta)
             pref = negative_prefactor(eta)
             for cid in (4, 10, 12, 15):
                 lhs = closed_form_bound(cid, eta) * pref
-                rhs = cover_theta_sum(cover_fixture(cid), coeffs.coeffs)
+                rhs = cover_theta_sum(cover_fixture(cid), coeffs)
                 assert math.isclose(lhs, rhs, rel_tol=1e-10), (cid, box)
 
 
@@ -232,8 +230,8 @@ def test_closed_form_swap_identity():
 
 def test_closed_form_9_is_generic_path():
     eta = case4_eta_points(1, seed=19)[0]
-    coeffs = hex_coefficients(eta)
-    expected = cover_theta_sum(cover_fixture(9), coeffs.coeffs) / negative_prefactor(eta)
+    coeffs, _ = hex_coefficients(eta)
+    expected = cover_theta_sum(cover_fixture(9), coeffs) / negative_prefactor(eta)
     assert math.isclose(closed_form_bound(9, eta), expected, rel_tol=1e-12)
 
 
@@ -276,10 +274,10 @@ def test_scalar_c_m_matches_batch_bits():
     scalar_coeffs, scalar_c_m, scalar_thetas, bound9, prefactor = [], [], [], [], []
     for column in eta.T.tolist():
         point = EtaPoint(*column)
-        scalar = hex_coefficients(point)
-        scalar_coeffs.append([scalar.coeffs[p] for p in HEXAGON_POSITIVE])
-        scalar_c_m.append(scalar.c_m)
-        scalar_thetas.append([cover_theta_sum(cover, scalar.coeffs) for cover in evaluator.covers])
+        column, point_c_m = hex_coefficients(point)
+        scalar_coeffs.append(column)
+        scalar_c_m.append(point_c_m)
+        scalar_thetas.append([cover_theta_sum(cover, column) for cover in evaluator.covers])
         bound9.append(closed_form_bound(9, point))
         prefactor.append(negative_prefactor(point))
     assert np.array_equal(np.array(scalar_coeffs).T, coeffs)
