@@ -5,11 +5,11 @@ triangles that each contain the negative point m = (2,1) in their relative
 interior.  Enumeration is exact (rational arithmetic throughout).
 """
 
-from hexcover import canonical_key, enumerate_pure_covers, hexagon_points
+from hexcover import canonical_key, enumerate_pure_covers
 from hexcover.covers import census
-from hexcover.geometry import POINT_NAMES, POINT_INDEX
+from hexcover.geometry import HEXAGON_POSITIVE, M, POINT_NAMES, POINT_INDEX
 
-covers = enumerate_pure_covers(*hexagon_points())
+covers = enumerate_pure_covers(HEXAGON_POSITIVE, M)
 print(f"{len(covers)} pure covers of the hexagon\n")
 
 for cover in sorted(covers, key=lambda c: c.id):

@@ -13,7 +13,6 @@ from .geometry import (
     Simplex,
     barycentric_coordinates,
     contains_in_relative_interior,
-    hexagon_points,
 )
 from .circuits import (
     CircuitSupport,
@@ -32,7 +31,6 @@ from .model import (
     classify,
     closed_form_bound,
     eval_hex_poly,
-    eval_p_eta,
     hex_coefficients,
     reduce,
 )
@@ -44,6 +42,5 @@ from .experiment import (
     containment_analysis,
     evaluate_covers,
     linear_homotopy,
-    sample_case4,
     simplicial_homotopy,
 )

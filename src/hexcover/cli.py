@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import __version__
 from .circuits import CircuitSupport, circuit_number, cover_theta_sum, optimize_scalar_weight
 from .covers import (all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers,
                      fixture_keys, point_configuration)
-from .geometry import A1, A2, A4, A6, M, LatticePoint, Simplex, hexagon_points
+from .geometry import A1, A2, A4, A6, HEXAGON_POSITIVE, M, LatticePoint, Simplex
 from .model import (
     CLOSED_FORM_IDS,
     Case,
@@ -34,6 +33,7 @@ from .model import (
     KappaVector,
     classify,
     closed_form_bound,
+    hex_coefficient_arrays,
     hex_coefficients,
     negative_prefactor,
     reduce,
@@ -51,7 +51,6 @@ from .experiment import (
     compare_vs_baseline,
     containment_analysis,
     evaluate_covers,
-    hex_coefficient_arrays,
     linear_homotopy,
     simplicial_homotopy,
     sweep_steps,
@@ -65,6 +64,7 @@ EXIT_USAGE = 64
 BUILD_ID = f"hexcover-{__version__}"
 TABLE2_SCALE = 100.0  # relative-comparison ratios are reported as percentages
 MAX_POINTS = 14  # most points of an --points file; the number of pure covers grows exponentially
+MAX_INPUT_CHARS = 1 << 20  # most characters of a --config, --points or --file input
 _cover_evaluator = functools.cache(CoverEvaluator)  # built on first certify, then reused
 
 # plan flag (and config key) -> (SamplePlan field, type of a config value)
@@ -72,19 +72,27 @@ _PLAN_FIELDS = {"box": ("box_size", float), "n": ("target_case4_samples", int),
                 "seed": ("seed", int), "threads": ("threads", int)}
 
 
+def _read_input(path: str) -> str:
+    """An input file's text; ValueError beyond ``MAX_INPUT_CHARS`` characters, so no file exhausts memory."""
+    with open(path) as fh:
+        text = fh.read(MAX_INPUT_CHARS + 1)
+    if len(text) > MAX_INPUT_CHARS:
+        raise ValueError(f"{path}: longer than {MAX_INPUT_CHARS} characters")
+    return text
+
+
 def _read_config(path: str) -> dict[str, str]:
     """The file's 'key=value' lines; ValueError on a key that is not a plan flag."""
     conf = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _PLAN_FIELDS:
-                raise ValueError(f"{path}: unknown key {key!r}; keys are {', '.join(_PLAN_FIELDS)}")
-            conf[key] = value.strip()
+    for line in _read_input(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _PLAN_FIELDS:
+            raise ValueError(f"{path}: unknown key {key!r}; keys are {', '.join(_PLAN_FIELDS)}")
+        conf[key] = value.strip()
     return conf
 
 
@@ -144,21 +152,20 @@ def _report(args, n: int, header: dict, rows: list[str], fields: dict) -> int:
 def _load_points_file(path: str):
     """Point file: one 'x z' pair per line, at most ``MAX_POINTS``; the interior point prefixed with 'm'."""
     points, m = [], None
-    with open(path) as fh:
-        for line in fh:
-            tokens = line.split("#")[0].split()
-            if not tokens:
-                continue
-            is_m = tokens[0] == "m"
-            if len(tokens) != 2 + is_m:
-                raise ValueError(f"{path}: expected 'x z' or 'm x z', got {line.strip()!r}")
-            p = LatticePoint(int(tokens[is_m]), int(tokens[is_m + 1]))
-            if not is_m:
-                points.append(p)
-            elif m is None:
-                m = p
-            else:
-                raise ValueError(f"{path}: more than one interior point line ('m x z')")
+    for line in _read_input(path).split("\n"):
+        tokens = line.split("#")[0].split()
+        if not tokens:
+            continue
+        is_m = tokens[0] == "m"
+        if len(tokens) != 2 + is_m:
+            raise ValueError(f"{path}: expected 'x z' or 'm x z', got {line.strip()!r}")
+        p = LatticePoint(int(tokens[is_m]), int(tokens[is_m + 1]))
+        if not is_m:
+            points.append(p)
+        elif m is None:
+            m = p
+        else:
+            raise ValueError(f"{path}: more than one interior point line ('m x z')")
     if m is None:
         raise ValueError(f"{path}: no interior point line ('m x z')")
     if len(points) > MAX_POINTS:
@@ -175,12 +182,12 @@ def cmd_enumerate(args) -> int:
         points, m = args.configuration
         covers = enumerate_pure_covers(points, m)
         for c in covers:
-            print(f"{c.id}: {canonical_key(c) if set(points) == set(hexagon_points()[0]) else c.simplices}")
+            print(f"{c.id}: {canonical_key(c) if set(points) == set(HEXAGON_POSITIVE) else c.simplices}")
         if not covers:
             print(f"warning: no pure cover exists for {len(points)} points around {tuple(m)}",
                   file=sys.stderr)
         return EXIT_OK
-    covers = enumerate_pure_covers(*hexagon_points())
+    covers = enumerate_pure_covers(HEXAGON_POSITIVE, M)
     by_id = sorted(covers, key=lambda c: c.id)
     for c in by_id:
         print(f"{c.id}: {canonical_key(c)}")
@@ -213,7 +220,7 @@ def _check_certify(args) -> None:
     given = [text for text in (args.kappa, args.eta, args.file) if text is not None]
     if len(given) != 1:
         raise ValueError("provide exactly one of --kappa, --eta, --file")
-    text = Path(args.file).read_text() if args.file is not None else given[0]
+    text = _read_input(args.file) if args.file is not None else given[0]
     values = [float(t) for t in text.replace(",", " ").split()]
     if len(values) == 12:
         eta = reduce(KappaVector(tuple(values)))

@@ -29,7 +29,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -230,21 +229,6 @@ def _accepted_blocks(plan: SamplePlan, task):
             pool.shutdown(cancel_futures=True)
 
 
-def _sample_block(plan: SamplePlan, block: int):
-    """``sample_case4``'s block task: (eta, coeffs, c_m) of one raw block's case-4 samples."""
-    eta, a, b = classified_block(plan.seed, block, plan.box_size, plan.tile)
-    return (eta, *hex_coefficient_arrays(eta, a, b))
-
-
-def sample_case4(plan: SamplePlan) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Stream case-4 samples as (eta, coeffs, c_m), one item per raw block.
-
-    Fully deterministic in ``plan.seed``: blocks come in counter order and
-    exactly ``target_case4_samples`` samples are emitted in total.
-    """
-    return _accepted_blocks(plan, functools.partial(_sample_block, plan))
-
-
 @dataclass
 class CoverHitMatrix:
     """The histogram of a run's hit masks over the covers it evaluated.
@@ -309,8 +293,8 @@ def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
     bits = 1 << np.arange(len(ids))
 
     def task(block):
-        _, coeffs, c_m = _sample_block(plan, block)
-        theta, neg_cm = case4_thetas(evaluator, coeffs, c_m)
+        eta, a, b = classified_block(plan.seed, block, plan.box_size, plan.tile)
+        theta, neg_cm = case4_thetas(evaluator, *hex_coefficient_arrays(eta, a, b))
         return bits @ (theta >= neg_cm), theta[:kept_rows], neg_cm
     histogram, n_always, kept = np.zeros(1 << len(ids), dtype=np.int64), 0, [np.empty((kept_rows + 1, 0))]
     for blocks, (mask, theta, neg_cm) in enumerate(_accepted_blocks(plan, task), 1):
@@ -445,7 +429,7 @@ def sweep_steps(step: float) -> int:
     """Grid steps per side for a homotopy step size; ValueError unless it divides 1 evenly."""
     if not 0 < step <= 1:
         raise ValueError(f"step must be in (0, 1], got {step}")
-    steps = round(1.0 / step)
+    steps = round(min(1.0 / step, MAX_SWEEP_STEPS + 1))  # 1/step can overflow for a subnormal step
     if steps > MAX_SWEEP_STEPS:
         raise ValueError(f"step {step} gives more than {MAX_SWEEP_STEPS} grid steps")
     if abs(steps * step - 1.0) > 1e-9:
@@ -529,7 +513,9 @@ def simplicial_homotopy(matrix: CoverHitMatrix, a: int, b: int, c: int,
 def case4_eta_points(n: int, seed: int = 0, box_size: float = 1.0):
     """The first n accepted case-4 samples of a stream, as EtaPoint objects."""
     plan = SamplePlan(box_size=box_size, target_case4_samples=n, seed=seed)
-    return [EtaPoint(*column) for eta, _, _ in sample_case4(plan) for column in eta.T.tolist()]
+    blocks = _accepted_blocks(
+        plan, lambda block: classified_block(plan.seed, block, plan.box_size, plan.tile))
+    return [EtaPoint(*column) for eta, _, _ in blocks for column in eta.T.tolist()]
 
 
 def binomial_sigma(p: float, n: int) -> float:

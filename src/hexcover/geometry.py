@@ -79,8 +79,9 @@ def barycentric_coordinates(s: Simplex, p: LatticePoint) -> tuple[Fraction, ...]
     """Exact barycentric coordinates of ``p`` in ``s``, one Fraction per vertex, or None if outside.
 
     "Outside" covers any lambda <= 0 or >= 1, and (for segments) points off
-    the affine hull.  The same overdetermined solve handles both simplex
-    dimensions: two coordinate rows plus the sum-to-one row.
+    the affine hull.  A triangle's coordinates come from Cramer's rule on
+    doubled signed areas; a segment's from the parameter t of p = a + t*(b-a)
+    along a coordinate that varies, with the other coordinate checked.
     """
     p = LatticePoint(*p)
     verts = s.vertices
@@ -94,14 +95,8 @@ def barycentric_coordinates(s: Simplex, p: LatticePoint) -> tuple[Fraction, ...]
     else:
         a, b = verts
         dx, dz = b.x - a.x, b.z - a.z
-        # p = a + t*(b-a); solve from whichever coordinate varies, then
-        # verify the other for affine-hull consistency.
-        if dx != 0:
-            t = Fraction(p.x - a.x, dx)
-        elif dz != 0:
-            t = Fraction(p.z - a.z, dz)
-        else:  # pragma: no cover - excluded by simplex invariant
-            raise DegenerateSimplexError("zero-length segment")
+        # dx and dz are not both 0: a Simplex has no repeated vertex
+        t = Fraction(p.x - a.x, dx) if dx != 0 else Fraction(p.z - a.z, dz)
         if a.x + t * dx != p.x or a.z + t * dz != p.z:
             return None
         lambdas = (1 - t, t)
@@ -113,8 +108,3 @@ def barycentric_coordinates(s: Simplex, p: LatticePoint) -> tuple[Fraction, ...]
 def contains_in_relative_interior(s: Simplex, p: LatticePoint) -> bool:
     """True iff ``p`` has all-strictly-interior barycentrics in ``s``."""
     return barycentric_coordinates(s, p) is not None
-
-
-def hexagon_points() -> tuple[tuple[LatticePoint, ...], LatticePoint]:
-    """The ten positive support points of the hexagonal face and the negative point."""
-    return HEXAGON_POSITIVE, M

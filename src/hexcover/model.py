@@ -178,32 +178,6 @@ def hex_coefficients(eta: EtaPoint) -> tuple[np.ndarray, float]:
     return hex_coefficient_arrays(eta.as_tuple(), sc.a_value, sc.b_value)
 
 
-def eval_p_eta(eta: EtaPoint, x1: float, x2: float, x3: float) -> float:
-    """Direct evaluation of the full trivariate polynomial at positive x."""
-    if not (x1 > 0 and x2 > 0 and x3 > 0):
-        raise ValueError("x must be strictly positive")
-    K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
-    a, b = ab_values(eta)
-    value = K2 * k3 * a * (
-        K2 * K4 * k3 * k9 * x1**4 * x3**2
-        + K1 * K3 * k6 * k12 * (x1**3 * x2**2 * x3 + x1**2 * x2**3 * x3 + x1**2 * x2**2 * x3**2)
-        + K2 * K3 * k3 * k12 * x1**3 * x2 * x3**2
-    )
-    value += K1 * K2 * K3 * k3 * k6 * k12 * b * x1**2 * x2**2 * x3
-    value += K1 * k6 * (
-        K2**2 * K4 * k3**2 * k9**2 * x1**4 * x3
-        + 2 * K2 * K3 * K4 * k3**2 * k9 * k12 * x1**3 * x2 * x3
-        + K1 * K2 * K3 * k3 * k6 * k12 * (k9 + k12) * x1**2 * x2**3
-        + K1 * K2 * K3 * K4 * k3 * k6 * k9 * k12 * x1**2 * x2**2
-        + K1 * K3**2 * k6 * k12**2 * (k3 + k6) * x1 * x2**4
-        + 2 * K1 * K2 * K3 * k3 * k6 * k12**2 * x1 * x2**3 * x3
-        + K1 * K2 * K3**2 * k3 * k6 * k12**2 * x1 * x2**3
-        + K1 * K3**2 * k6**2 * k12**2 * x2**4 * x3
-        + K1**2 * K3**2 * k6**2 * k12**2 * x2**4
-    )
-    return value
-
-
 def eval_hex_poly(coeffs, c_m, x1, x3):
     """Evaluate the hexagon-restricted bivariate polynomial from its (10,) column and c_m."""
     value = c_m * x1**2 * x3

@@ -5,8 +5,16 @@ import pytest
 from numpy.random import Generator, Philox
 
 from hexcover import SamplePlan, evaluate_covers
-from hexcover.experiment import RAW_BLOCK
-from hexcover.model import _reduced, ab_values, is_case4
+from hexcover.experiment import RAW_BLOCK, _accepted_blocks, classified_block
+from hexcover.model import _reduced, ab_values, hex_coefficient_arrays, is_case4
+
+
+def sample_case4(plan):
+    """The plan's case-4 samples as (eta, coeffs, c_m), one item per raw block, with the block task's bits."""
+    blocks = _accepted_blocks(
+        plan, lambda block: classified_block(plan.seed, block, plan.box_size, plan.tile))
+    for eta, a, b in blocks:  # the kernel works per element, so truncating first keeps every bit
+        yield (eta, *hex_coefficient_arrays(eta, a, b))
 
 
 @pytest.fixture(scope="session")

@@ -22,12 +22,13 @@ from hexcover.experiment import (
     evaluate_covers,
     hex_coefficient_arrays,
     linear_homotopy,
-    sample_case4,
     simplicial_homotopy,
 )
-from hexcover.geometry import LatticePoint, M, Simplex, hexagon_points
+from hexcover.geometry import HEXAGON_POSITIVE, LatticePoint, M, Simplex
 from hexcover.model import ab_values, hex_coefficients, negative_prefactor, closed_form_bound
 from hexcover import cli
+
+from conftest import sample_case4
 
 N_FULL = 1_000_000
 SEED = 42
@@ -46,7 +47,7 @@ def report(num, ok, detail):
 
 def test_criterion_01_cover_census():
     start = time.perf_counter()
-    covers = enumerate_pure_covers(*hexagon_points())
+    covers = enumerate_pure_covers(HEXAGON_POSITIVE, M)
     counts = census(covers)
     elapsed = time.perf_counter() - start
     ok = (len(covers) == 16
@@ -168,8 +169,7 @@ def _grid_extrema(coeffs, c_m, grid_pts=100):
     """Vectorized min value and per-point scale of p over the log grid."""
     grid = np.logspace(-4, 4, grid_pts)
     x1, x3 = np.meshgrid(grid, grid, indexing="ij")
-    points, m_pt = hexagon_points()
-    monos = np.stack([(x1**p.x * x3**p.z).ravel() for p in list(points) + [m_pt]])
+    monos = np.stack([(x1**p.x * x3**p.z).ravel() for p in (*HEXAGON_POSITIVE, M)])
     all_coeffs = np.concatenate([coeffs, c_m[None, :]])  # (11, k)
     values = all_coeffs.T @ monos                        # (k, grid)
     scales = np.abs(all_coeffs).T @ monos

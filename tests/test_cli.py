@@ -5,6 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,8 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hexcover import experiment
-from hexcover.cli import EXIT_MULTISTATIONARY, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE, main
-from hexcover.experiment import CoverEvaluator, SamplePlan, evaluate_covers, sample_case4
+from hexcover.cli import EXIT_MULTISTATIONARY, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE, MAX_INPUT_CHARS, main
+from hexcover.experiment import CoverEvaluator, SamplePlan, evaluate_covers
+
+from conftest import sample_case4
 
 N_SMALL = ["--n", "5000"]
 
@@ -363,6 +369,7 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
     ["table1", "--config", "{tmp}/unknown_key.txt"],
     ["table1", "--box", "1e-100"], ["table2", "--box", "1e-200"], ["containment", "--box", "1e200"],
     ["homotopy", "--covers", "4,9", "--box", "1e-100"],
+    ["homotopy", "--covers", "4,9", "--delta", "1e-320"], ["homotopy", "--covers", "4,9", "--delta", "5e-324"],
     ["table1", "--out", "{tmp}/missing/t_"], ["homotopy", "--covers", "4,9", "--out", "{tmp}/missing/"],
     ["table1", "--n", "100", "--out", "{tmp}/d/"], ["homotopy", "--covers", "4,9", "--out", "{tmp}/d/"],
     ["certify", "--eta", "1,1,1,1,1e200,1e200,1e200,1e200"],
@@ -466,6 +473,36 @@ def test_config_file_flags_win(tmp_path, capsys):
     conf.write_text("n=5000\nseed=7\n")
     _, out, _ = run(capsys, "table1", "--config", str(conf), "--seed", "11")
     assert "# seed: 11" in out and "# n: 5000" in out
+
+
+@pytest.mark.parametrize("argv,text", [
+    pytest.param(["table1", "--config"], "n=1000\nseed=7\n", id="table1 --config"),
+    pytest.param(["enumerate", "--points"], "4 2\n2 0\n0 1\n0 0\nm 2 1\n", id="enumerate --points"),
+    pytest.param(["certify", "--file"], " ".join(["1"] * 12) + "\n", id="certify --file"),
+])
+def test_input_file_is_read_up_to_the_cap_and_rejected_beyond_it(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text + " " * (MAX_INPUT_CHARS - len(text)))  # a valid file, padded to the cap
+    assert run(capsys, *argv, str(path))[0] == EXIT_OK
+    path.write_text(text + " " * (MAX_INPUT_CHARS + 1 - len(text)))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_USAGE, "") and len(err.strip().splitlines()) == 1
+
+
+def test_endless_input_file_exits_64_in_bounded_memory():
+    """``certify --file /dev/zero`` stops reading at the cap.
+
+    The child runs under a 1 GB address-space limit, so a reader without a
+    cap fails fast instead of taking the machine's memory.
+    """
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from hexcover.cli import main; sys.exit(main(sys.argv[1:]))")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", child, "certify", "--file", "/dev/zero"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert len(done.stderr.strip().splitlines()) == 1, done.stderr
 
 
 def test_env_seed_fallback(monkeypatch, capsys):

@@ -21,12 +21,11 @@ from hexcover.geometry import (
     LatticePoint,
     Simplex,
     contains_in_relative_interior,
-    hexagon_points,
 )
 
 
 def test_hexagon_has_sixteen_covers():
-    covers = enumerate_pure_covers(*hexagon_points())
+    covers = enumerate_pure_covers(HEXAGON_POSITIVE, M)
     assert len(covers) == 16
     assert sorted(c.id for c in covers) == list(range(1, 17))
 
@@ -38,14 +37,14 @@ def test_single_segment_instance():
 
 
 def test_exactly_two_five_segment_covers():
-    covers = enumerate_pure_covers(*hexagon_points())
+    covers = enumerate_pure_covers(HEXAGON_POSITIVE, M)
     five_seg = [c for c in covers if all(len(s) == 2 for s in c.simplices)]
     assert len(five_seg) == 2
     assert sorted(c.id for c in five_seg) == [15, 16]
 
 
 def test_census_counts():
-    counts = census(enumerate_pure_covers(*hexagon_points()))
+    counts = census(enumerate_pure_covers(HEXAGON_POSITIVE, M))
     assert counts == {"five-segment": 2, "special-triangle": 2, "row-spanning": 12}
 
 
@@ -95,7 +94,7 @@ def test_special_triangle_covers_are_3_and_4():
 
 
 def test_fixture_covers_appear_in_enumeration():
-    keys = {canonical_key(c) for c in enumerate_pure_covers(*hexagon_points())}
+    keys = {canonical_key(c) for c in enumerate_pure_covers(HEXAGON_POSITIVE, M)}
     for cid in range(1, 17):
         assert canonical_key(cover_fixture(cid)) in keys
 
@@ -112,7 +111,7 @@ def test_mirror_pair_10_12():
 
 
 def test_partition_and_interiority():
-    for cover in enumerate_pure_covers(*hexagon_points()):
+    for cover in enumerate_pure_covers(HEXAGON_POSITIVE, M):
         used = Counter(v for s in cover.simplices for v in s.vertices)
         assert used == Counter(HEXAGON_POSITIVE)
         for s in cover.simplices:
@@ -134,7 +133,7 @@ def test_canonical_key_permutation_invariant():
 
 
 def test_keys_unique_and_round_trip():
-    covers = enumerate_pure_covers(*hexagon_points())
+    covers = enumerate_pure_covers(HEXAGON_POSITIVE, M)
     keys = [canonical_key(c) for c in covers]
     assert len(set(keys)) == 16
     for c, key in zip(covers, keys):
@@ -142,7 +141,7 @@ def test_keys_unique_and_round_trip():
 
 
 def test_fixture_file_matches_enumeration():
-    found = {c.id: canonical_key(c) for c in enumerate_pure_covers(*hexagon_points())}
+    found = {c.id: canonical_key(c) for c in enumerate_pure_covers(HEXAGON_POSITIVE, M)}
     assert found == fixture_keys()
 
 

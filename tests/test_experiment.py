@@ -31,11 +31,12 @@ from hexcover.experiment import (
     containment_analysis,
     evaluate_covers,
     linear_homotopy,
-    sample_case4,
     simplicial_homotopy,
     sweep_steps,
 )
 from hexcover.model import _reduced, ab_values, is_case4
+
+from conftest import sample_case4
 
 
 def collect_etas(plan):
@@ -562,7 +563,7 @@ def test_sweep_prune_exact_on_adversarial_thetas():
 def test_sweep_steps_bounds():
     assert sweep_steps(0.1) == 10 and sweep_steps(1.0) == 1
     assert sweep_steps(1 / MAX_SWEEP_STEPS) == MAX_SWEEP_STEPS
-    for bad in (0.0, -0.5, math.nan, math.inf, 2.0, 0.3, 1e-9, 1 / (MAX_SWEEP_STEPS + 1)):
+    for bad in (0.0, -0.5, math.nan, math.inf, 2.0, 0.3, 1e-9, 1 / (MAX_SWEEP_STEPS + 1), 5e-324):
         with pytest.raises(ValueError):
             sweep_steps(bad)
 

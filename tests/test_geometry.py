@@ -14,7 +14,6 @@ from hexcover.geometry import (
     Simplex,
     barycentric_coordinates,
     contains_in_relative_interior,
-    hexagon_points,
 )
 
 
@@ -117,13 +116,12 @@ def test_relative_interior_examples():
 
 
 def test_hexagon_points_canonical_order():
-    points, m = hexagon_points()
-    assert points == (
+    assert HEXAGON_POSITIVE == (
         LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(4, 1), LatticePoint(4, 2),
         LatticePoint(2, 2), LatticePoint(0, 1), LatticePoint(1, 0), LatticePoint(3, 2),
         LatticePoint(1, 1), LatticePoint(3, 1),
     )
-    assert m == LatticePoint(2, 1)
+    assert M == LatticePoint(2, 1)
 
 
 def _hull_indices(points):
@@ -145,15 +143,13 @@ def _hull_indices(points):
 
 
 def test_alpha_points_are_hull_vertices():
-    points, m = hexagon_points()
-    hull = _hull_indices(list(points) + [m])
-    assert hull == set(points[:6])
+    hull = _hull_indices([*HEXAGON_POSITIVE, M])
+    assert hull == set(HEXAGON_POSITIVE[:6])
 
 
 def test_hull_membership_of_non_vertices():
     # beta points sit on hull edges; iota points and m are strictly interior
-    points, m = hexagon_points()
-    alphas = points[:6]
+    alphas = HEXAGON_POSITIVE[:6]
     edges = [(alphas[i], alphas[(i + 1) % 6]) for i in range(6)]
 
     def strictly_inside(p):
@@ -163,11 +159,11 @@ def test_hull_membership_of_non_vertices():
         return (any(oracle_contains(t, p) for t in tris)
                 or any(oracle_contains(d, p) for d in diags))
 
-    beta1, beta2, iota1, iota2 = points[6:]
+    beta1, beta2, iota1, iota2 = HEXAGON_POSITIVE[6:]
     for p in (beta1, beta2):
         assert any(oracle_contains(e, p) for e in edges)
         assert not strictly_inside(p)
-    for p in (iota1, iota2, m):
+    for p in (iota1, iota2, M):
         assert strictly_inside(p)
         assert not any(oracle_contains(e, p) for e in edges)
 

@@ -12,7 +12,7 @@ from hexcover.circuits import cover_theta_sum
 from hexcover.covers import cover_fixture
 from hexcover import experiment, model
 from hexcover.experiment import (RAW_BLOCK, CoverEvaluator, SamplePlan, case4_eta_points,
-                                 classified_block, hex_coefficient_arrays, sample_case4)
+                                 classified_block, hex_coefficient_arrays)
 from hexcover.geometry import A2, A4, A6, POINT_INDEX
 from hexcover.model import (
     Case,
@@ -22,11 +22,12 @@ from hexcover.model import (
     classify,
     closed_form_bound,
     eval_hex_poly,
-    eval_p_eta,
     hex_coefficients,
     negative_prefactor,
     reduce,
 )
+
+from conftest import sample_case4
 
 rate = st.floats(min_value=1e-2, max_value=1e2)
 
@@ -158,6 +159,32 @@ def test_hex_coefficients_flag_non_case4():
     # the batch kernel checks no case and gives the raw (partially nonpositive) coefficients
     [(coeffs, _)] = unchecked_coefficients(np.array(eta.as_tuple())[:, None])
     assert coeffs[POINT_INDEX[A4]] == 0.0
+
+
+def eval_p_eta(eta: EtaPoint, x1: float, x2: float, x3: float) -> float:
+    """Direct evaluation of the full trivariate polynomial at positive x, the oracle of ``_h_part``."""
+    if not (x1 > 0 and x2 > 0 and x3 > 0):
+        raise ValueError("x must be strictly positive")
+    K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
+    a, b = ab_values(eta)
+    value = K2 * k3 * a * (
+        K2 * K4 * k3 * k9 * x1**4 * x3**2
+        + K1 * K3 * k6 * k12 * (x1**3 * x2**2 * x3 + x1**2 * x2**3 * x3 + x1**2 * x2**2 * x3**2)
+        + K2 * K3 * k3 * k12 * x1**3 * x2 * x3**2
+    )
+    value += K1 * K2 * K3 * k3 * k6 * k12 * b * x1**2 * x2**2 * x3
+    value += K1 * k6 * (
+        K2**2 * K4 * k3**2 * k9**2 * x1**4 * x3
+        + 2 * K2 * K3 * K4 * k3**2 * k9 * k12 * x1**3 * x2 * x3
+        + K1 * K2 * K3 * k3 * k6 * k12 * (k9 + k12) * x1**2 * x2**3
+        + K1 * K2 * K3 * K4 * k3 * k6 * k9 * k12 * x1**2 * x2**2
+        + K1 * K3**2 * k6 * k12**2 * (k3 + k6) * x1 * x2**4
+        + 2 * K1 * K2 * K3 * k3 * k6 * k12**2 * x1 * x2**3 * x3
+        + K1 * K2 * K3**2 * k3 * k6 * k12**2 * x1 * x2**3
+        + K1 * K3**2 * k6**2 * k12**2 * x2**4 * x3
+        + K1**2 * K3**2 * k6**2 * k12**2 * x2**4
+    )
+    return value
 
 
 def _h_part(eta, x1, x3):
