@@ -25,7 +25,7 @@ print("barycentrics of m in the canonical triangle:", lam)
 # Unit coefficients give Theta = 3: the polynomial
 #   x^4 y^2 + x^2 + y - c x^2 y
 # is nonnegative on the positive orthant exactly when c <= 3.
-support = CircuitSupport(tri, M, {v: 1.0 for v in tri.vertices})
+support = CircuitSupport(tri, M, {v: 1.0 for v in tri})
 print("Theta =", circuit_number(support))
 for c in (2.5, 3.0, 3.0 + 1e-6):
     s = CircuitSupport(tri, M, support.positive_coeffs, -c)

@@ -15,7 +15,7 @@ print(f"{len(covers)} pure covers of the hexagon\n")
 for cover in sorted(covers, key=lambda c: c.id):
     blocks = []
     for s in cover.simplices:
-        blocks.append("{" + ",".join(POINT_NAMES[POINT_INDEX[v]] for v in s.vertices) + "}")
+        blocks.append("{" + ",".join(POINT_NAMES[POINT_INDEX[v]] for v in s) + "}")
     print(f"CC({cover.id:>2}): {' '.join(blocks):45s} key={canonical_key(cover)}")
 
 print("\nstructure census:", census(covers))

@@ -46,7 +46,7 @@ class CircuitSupport:
     negative_coeff: float = 0.0
 
     def __post_init__(self):
-        if set(self.positive_coeffs) != set(self.simplex.vertices):
+        if set(self.positive_coeffs) != set(self.simplex):
             raise ValueError("positive_coeffs keys must be exactly the simplex vertices")
         for v, c in self.positive_coeffs.items():
             if not c > 0:
@@ -61,7 +61,7 @@ def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[f
     """
     lam = barycentric_coordinates(simplex, interior)
     if lam is None:
-        raise NotACircuitError(f"{interior} not in the relative interior of {simplex.vertices}")
+        raise NotACircuitError(f"{interior} not in the relative interior of {simplex}")
     lams = tuple(map(float, lam))
     return lams, -sum(l * math.log(l) for l in lams)
 
@@ -69,7 +69,7 @@ def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[f
 @functools.cache
 def _simplex_table(simplices: tuple[Simplex, ...]) -> tuple:
     """(terms, const) per simplex around m; a term is (vertex's index in ``HEXAGON_POSITIVE``, lambda)."""
-    return tuple((tuple(zip([POINT_INDEX[v] for v in s.vertices], lams)), const)
+    return tuple((tuple(zip([POINT_INDEX[v] for v in s], lams)), const)
                  for s in simplices for lams, const in [_compiled_simplex(s, M)])
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .circuits import CircuitSupport, circuit_number, cover_theta_sum, optimize_scalar_weight
 from .covers import (all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers,
-                     fixture_keys, point_configuration)
+                     fixture_keys, is_hexagon, point_configuration)
 from .geometry import A1, A2, A4, A6, HEXAGON_POSITIVE, M, LatticePoint, Simplex
 from .model import (
     CLOSED_FORM_IDS,
@@ -66,6 +66,7 @@ TABLE2_SCALE = 100.0  # relative-comparison ratios are reported as percentages
 MAX_POINTS = 14  # most points of an --points file; the number of pure covers grows exponentially
 MAX_INPUT_CHARS = 1 << 20  # most characters of a --config, --points or --file input
 _cover_evaluator = functools.cache(CoverEvaluator)  # built on first certify, then reused
+_CERTIFY_COUNTS = {"kappa": (12,), "eta": (8,), "file": (12, 8)}  # certify flag -> how many reals it takes
 
 # plan flag (and config key) -> (SamplePlan field, type of a config value)
 _PLAN_FIELDS = {"box": ("box_size", float), "n": ("target_case4_samples", int),
@@ -174,23 +175,22 @@ def _load_points_file(path: str):
 
 
 def _check_enumerate(args) -> None:
-    args.configuration = _load_points_file(args.points) if args.points else None
+    args.configuration = _load_points_file(args.points) if args.points else (HEXAGON_POSITIVE, M)
+    args.hexagon = is_hexagon(*args.configuration)
+    if args.check_census and not args.hexagon:
+        raise ValueError("--check-census needs the hexagon's ten points around m 2 1")
 
 
 def cmd_enumerate(args) -> int:
-    if args.configuration:
-        points, m = args.configuration
-        covers = enumerate_pure_covers(points, m)
-        for c in covers:
-            print(f"{c.id}: {canonical_key(c) if set(points) == set(HEXAGON_POSITIVE) else c.simplices}")
-        if not covers:
-            print(f"warning: no pure cover exists for {len(points)} points around {tuple(m)}",
-                  file=sys.stderr)
+    points, m = args.configuration
+    covers = sorted(enumerate_pure_covers(points, m), key=lambda c: c.id)
+    for c in covers:
+        print(f"{c.id}: {canonical_key(c) if args.hexagon else c.simplices}")
+    if not covers:
+        print(f"warning: no pure cover exists for {len(points)} points around {tuple(m)}",
+              file=sys.stderr)
+    if not args.hexagon:
         return EXIT_OK
-    covers = enumerate_pure_covers(HEXAGON_POSITIVE, M)
-    by_id = sorted(covers, key=lambda c: c.id)
-    for c in by_id:
-        print(f"{c.id}: {canonical_key(c)}")
     if args.check_census:
         counts = census(covers)
         print(f"5-segment: {counts['five-segment']}, special-triangle: {counts['special-triangle']}, "
@@ -217,19 +217,18 @@ def _check_certify(args) -> None:
     c_m is 0), which gives each cover's Theta sum once; cover 9's bound
     reuses its sum, and every bound must be finite.
     """
-    given = [text for text in (args.kappa, args.eta, args.file) if text is not None]
+    given = [flag for flag in _CERTIFY_COUNTS if getattr(args, flag) is not None]
     if len(given) != 1:
         raise ValueError("provide exactly one of --kappa, --eta, --file")
-    text = _read_input(args.file) if args.file is not None else given[0]
+    [flag] = given
+    text = _read_input(args.file) if flag == "file" else getattr(args, flag)
     values = [float(t) for t in text.replace(",", " ").split()]
-    if len(values) == 12:
-        eta = reduce(KappaVector(tuple(values)))
-    elif len(values) == 8:
-        eta = EtaPoint(*values)
-    else:
-        raise ValueError(f"expected 12 or 8 positive reals, got {len(values)}")
+    if len(values) not in _CERTIFY_COUNTS[flag]:
+        counts = " or ".join(map(str, _CERTIFY_COUNTS[flag]))
+        raise ValueError(f"--{flag} takes {counts} positive reals, got {len(values)}")
+    eta = reduce(KappaVector(values)) if len(values) == 12 else EtaPoint(*values)
     sc = args.case = classify(eta)  # ValueError when a or b is NaN
-    coeffs, c_m = hex_coefficient_arrays(eta.as_tuple(), sc.a_value, sc.b_value)  # inf, NaN or 0 unraised
+    coeffs, c_m = hex_coefficient_arrays(eta, sc.a_value, sc.b_value)  # inf, NaN or 0 unraised
     if not all(map(math.isfinite, [sc.a_value, sc.b_value, *coeffs.tolist(), c_m])):
         raise ValueError("a, b, the coefficients and c_m must be finite in float64")
     if sc.tag is not Case.CASE4_A_POS_B_NEG:

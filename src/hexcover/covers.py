@@ -46,6 +46,11 @@ def point_configuration(points, m) -> tuple[list[LatticePoint], LatticePoint]:
     return points, m
 
 
+def is_hexagon(points, m) -> bool:
+    """True iff the configuration is the hexagonal face: its ten positive points, in any order, around m."""
+    return set(points) == set(HEXAGON_POSITIVE) and m == M
+
+
 def enumerate_pure_covers(points, m) -> list[PureCover]:
     """All partitions of ``points`` into m-containing simplices of size 2 or 3.
 
@@ -73,18 +78,16 @@ def enumerate_pure_covers(points, m) -> list[PureCover]:
 
     recurse(tuple(sorted(points)), ())
 
-    hexagon = set(points) == set(HEXAGON_POSITIVE) and m == M
+    hexagon = is_hexagon(points, m)
+    index = POINT_INDEX if hexagon else {p: i for i, p in enumerate(sorted(points))}
     id_map = {key: i for i, key in fixture_keys().items()} if hexagon else {}
-    keyed = sorted(((_key_of_blocks(blocks, points), blocks) for blocks in covers), key=lambda kv: kv[0])
+    keyed = sorted(((_key_of_blocks(blocks, index), blocks) for blocks in covers), key=lambda kv: kv[0])
     return [PureCover(id_map.get(key, rank), blocks) for rank, (key, blocks) in enumerate(keyed, start=1)]
 
 
-def _key_of_blocks(blocks, points) -> str:
-    index = POINT_INDEX if set(points) == set(HEXAGON_POSITIVE) else {
-        p: i for i, p in enumerate(sorted(points))
-    }
+def _key_of_blocks(blocks, index) -> str:
     parts = sorted(
-        "-".join(str(i) for i in sorted(index[v] for v in s.vertices)) for s in blocks
+        "-".join(str(i) for i in sorted(index[v] for v in s)) for s in blocks
     )
     return "|".join(parts)
 
@@ -95,15 +98,14 @@ def canonical_key(cover: PureCover) -> str:
     Indices refer to the canonical hexagon point order; invariant under any
     permutation of blocks or of vertices within a block.
     """
-    return _key_of_blocks(cover.simplices, HEXAGON_POSITIVE)
+    return _key_of_blocks(cover.simplices, POINT_INDEX)
 
 
 def parse_cover(key: str, id: int = 0) -> PureCover:
     """Inverse of :func:`canonical_key` for hexagon covers."""
     simplices = []
     for part in key.split("|"):
-        idx = [int(t) for t in part.split("-")]
-        simplices.append(Simplex(tuple(HEXAGON_POSITIVE[i] for i in idx)))
+        simplices.append(Simplex(HEXAGON_POSITIVE[int(t)] for t in part.split("-")))
     return PureCover(id, tuple(simplices))
 
 
@@ -150,7 +152,7 @@ def census(covers) -> dict[str, int]:
     for c in covers:
         if all(len(s) == 2 for s in c.simplices):
             counts["five-segment"] += 1
-        elif any(frozenset(s.vertices) in _SPECIAL_TRIANGLES for s in c.simplices):
+        elif any(frozenset(s) in _SPECIAL_TRIANGLES for s in c.simplices):
             counts["special-triangle"] += 1
         else:
             counts["row-spanning"] += 1

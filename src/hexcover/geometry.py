@@ -8,9 +8,8 @@ power formula downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 class LatticePoint(NamedTuple):
@@ -43,31 +42,23 @@ class DegenerateSimplexError(ValueError):
     """Raised when a simplex violates its affine-independence invariant."""
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """An ordered list of 2 or 3 pairwise-distinct, affinely independent points."""
+class Simplex(tuple):
+    """An ordered tuple of 2 or 3 pairwise-distinct, affinely independent points."""
 
-    vertices: tuple[LatticePoint, ...]
+    __slots__ = ()
 
-    def __init__(self, vertices: Sequence[LatticePoint]):
+    def __new__(cls, vertices: Iterable[LatticePoint]):
         verts = tuple(LatticePoint(*v) for v in vertices)
-        object.__setattr__(self, "vertices", verts)
-        self._validate()
-
-    def _validate(self) -> None:
-        verts = self.vertices
         if len(verts) not in (2, 3):
             raise DegenerateSimplexError(f"simplex needs 2 or 3 vertices, got {len(verts)}")
         if len(set(verts)) != len(verts):
             raise DegenerateSimplexError(f"repeated vertex in {verts}")
         if len(verts) == 3 and _signed_area2(*verts) == 0:
             raise DegenerateSimplexError(f"collinear vertices {verts}")
+        return super().__new__(cls, verts)
 
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
+    def __repr__(self) -> str:
+        return f"Simplex(vertices={tuple.__repr__(self)})"
 
 
 def _signed_area2(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
@@ -84,16 +75,15 @@ def barycentric_coordinates(s: Simplex, p: LatticePoint) -> tuple[Fraction, ...]
     along a coordinate that varies, with the other coordinate checked.
     """
     p = LatticePoint(*p)
-    verts = s.vertices
-    if len(verts) == 3:
-        a, b, c = verts
+    if len(s) == 3:
+        a, b, c = s
         area = _signed_area2(a, b, c)
         l0 = Fraction(_signed_area2(p, b, c), area)
         l1 = Fraction(_signed_area2(a, p, c), area)
         l2 = 1 - l0 - l1
         lambdas = (l0, l1, l2)
     else:
-        a, b = verts
+        a, b = s
         dx, dz = b.x - a.x, b.z - a.z
         # dx and dz are not both 0: a Simplex has no repeated vertex
         t = Fraction(p.x - a.x, dx) if dx != 0 else Fraction(p.z - a.z, dz)

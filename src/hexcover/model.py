@@ -15,6 +15,7 @@ column in ``HEXAGON_POSITIVE`` order plus the float c_m, as a batch's are a
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -26,41 +27,34 @@ from .covers import cover_fixture
 from .geometry import A1, A2, A3, A4, A5, A6, B1, B2, HEXAGON_POSITIVE, I1, I2
 
 
-@dataclass(frozen=True)
-class KappaVector:
+class KappaVector(tuple):
     """The twelve positive reaction rate constants."""
 
-    k: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.k) != 12:
-            raise ValueError(f"need 12 rate constants, got {len(self.k)}")
-        if not all(v > 0 for v in self.k):
+    def __new__(cls, k):
+        self = super().__new__(cls, k)
+        if len(self) != 12:
+            raise ValueError(f"need 12 rate constants, got {len(self)}")
+        if not all(v > 0 for v in self):
             raise ValueError("all rate constants must be strictly positive")
+        return self
 
 
-@dataclass(frozen=True)
-class EtaPoint:
-    """Reduced parameters (K1, K2, K3, K4, k3, k6, k9, k12), all positive."""
+class EtaPoint(collections.namedtuple("EtaPoint", "K1 K2 K3 K4 k3 k6 k9 k12")):
+    """Reduced parameters (K1, K2, K3, K4, k3, k6, k9, k12), all positive, as a named tuple."""
 
-    K1: float
-    K2: float
-    K3: float
-    K4: float
-    k3: float
-    k6: float
-    k9: float
-    k12: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(v > 0 for v in self.as_tuple()):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(v > 0 for v in self):
             raise ValueError("all eta components must be strictly positive")
+        return self
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.K1, self.K2, self.K3, self.K4, self.k3, self.k6, self.k9, self.k12)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make, and so _replace, would skip the check
+        return cls(*iterable)
 
     def swapped(self) -> "EtaPoint":
         """The (K1 <-> K4, K2 <-> K3) swap relating the two mirror covers."""
@@ -78,14 +72,14 @@ def _reduced(k):
 
 def reduce(kappa: KappaVector) -> EtaPoint:
     """Michaelis-Menten reduction of the 12 rate constants to eta."""
-    return EtaPoint(*_reduced(kappa.k))
+    return EtaPoint(*_reduced(kappa))
 
 
 def ab_values(eta):
     """a = k3*k12 - k6*k9 and b = (K2+K3)*k3*k12 - (K1+K4)*k6*k9.
 
-    ``eta`` is an EtaPoint, an (8, k) array or a sequence of 8 rows of the
-    same components; the result is a pair of floats or of arrays.
+    ``eta`` is 8 floats (an EtaPoint), an (8, k) array or a sequence of 8
+    rows of the same components; the result is a pair of floats or of arrays.
     """
     K1, K2, K3, K4, k3, k6, k9, k12 = eta
     a = k3 * k12 - k6 * k9
@@ -132,9 +126,9 @@ def classify(eta: EtaPoint) -> SignCase:
 
 
 def hex_coefficient_arrays(eta, a, b):
-    """Positive coefficients in ``HEXAGON_POSITIVE`` order and c_m, of 8 eta rows.
+    """Positive coefficients in ``HEXAGON_POSITIVE`` order and c_m, of eta's 8 components.
 
-    8 Python floats give (10,) and a float, an (8, k) array (10, k) and (k,);
+    8 Python floats (an EtaPoint) give (10,) and a float, an (8, k) array (10, k) and (k,);
     ``a`` and ``b`` are eta's ``ab_values``.  Only products run, each
     correctly rounded, so floats and arrays get the same bits on any CPU:
     each power is taken once, a cube as square times base (no libm pow), and
@@ -164,7 +158,7 @@ def negative_prefactor(eta: EtaPoint) -> float:
 
 
 def hex_coefficients(eta: EtaPoint) -> tuple[np.ndarray, float]:
-    """(coeffs, c_m) of a case-4 point: ``hex_coefficient_arrays`` on its 8 floats.
+    """(coeffs, c_m) of a case-4 point: ``hex_coefficient_arrays`` on the EtaPoint, its 8 floats.
 
     ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column, all positive, and
     c_m < 0 the coefficient of x1^2*x3.  The kernel's products are correctly
@@ -175,7 +169,7 @@ def hex_coefficients(eta: EtaPoint) -> tuple[np.ndarray, float]:
     sc = classify(eta)
     if sc.tag is not Case.CASE4_A_POS_B_NEG:
         raise ValueError(f"hex coefficients require case 4 input, got {sc.tag.name}")
-    return hex_coefficient_arrays(eta.as_tuple(), sc.a_value, sc.b_value)
+    return hex_coefficient_arrays(eta, sc.a_value, sc.b_value)
 
 
 def eval_hex_poly(coeffs, c_m, x1, x3):
@@ -199,7 +193,7 @@ def closed_form_bound(cover_id: int, eta: EtaPoint, theta_sum: float | None = No
     ``cover_theta_sum`` on the ``hex_coefficients`` column; the other covers
     ignore it.
     """
-    K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
+    K1, K2, K3, K4, k3, k6, k9, k12 = eta
     a, b = ab_values(eta)
     if not is_case4(a, b):
         raise ValueError("closed-form bounds require case 4 (a > 0, b < 0)")

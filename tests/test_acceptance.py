@@ -59,7 +59,7 @@ def test_criterion_01_cover_census():
 def test_criterion_02_circuit_number_fixtures():
     start = time.perf_counter()
     tri = Simplex((LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)))
-    theta = circuit_number(CircuitSupport(tri, M, {v: 1.0 for v in tri.vertices}))
+    theta = circuit_number(CircuitSupport(tri, M, {v: 1.0 for v in tri}))
     w_opt, value = optimize_scalar_weight(cli.toy_split)
     elapsed = time.perf_counter() - start
     ok = (abs(theta - 3.0) <= 1e-12 and abs(w_opt - 0.5497) <= 1e-3

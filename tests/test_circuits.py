@@ -39,7 +39,7 @@ positive = st.floats(min_value=1e-3, max_value=1e3)
 
 
 def unit_support(simplex, interior=M, c=0.0):
-    return CircuitSupport(simplex, interior, {v: 1.0 for v in simplex.vertices}, c)
+    return CircuitSupport(simplex, interior, {v: 1.0 for v in simplex}, c)
 
 
 def test_theta_equals_three():
@@ -52,7 +52,7 @@ def test_segment_theta_equals_two():
 
 @given(positive, positive, positive)
 def test_triangle_theta_symbolic_form(a, b, c):
-    support = CircuitSupport(TRIANGLE, M, dict(zip(TRIANGLE.vertices, (a, b, c))))
+    support = CircuitSupport(TRIANGLE, M, dict(zip(TRIANGLE, (a, b, c))))
     expected = 3.0 * (a * b * c) ** (1.0 / 3.0)
     assert math.isclose(circuit_number(support), expected, rel_tol=1e-12)
 
@@ -61,6 +61,21 @@ def test_not_a_circuit_error():
     s = Simplex((LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(0, 1)))
     with pytest.raises(NotACircuitError):
         circuit_number(unit_support(s))
+
+
+@pytest.mark.parametrize("coeffs", [
+    {LatticePoint(4, 2): 1.0, LatticePoint(2, 0): 1.0},  # a vertex missing
+    {LatticePoint(4, 2): 1.0, LatticePoint(2, 0): 1.0, LatticePoint(0, 1): 1.0, M: 1.0},  # not a vertex
+])
+def test_support_keys_must_be_the_simplex_vertices(coeffs):
+    with pytest.raises(ValueError, match="exactly the simplex vertices"):
+        CircuitSupport(TRIANGLE, M, coeffs)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+def test_support_coefficients_must_be_positive(c):
+    with pytest.raises(ValueError, match="must be positive"):
+        CircuitSupport(TRIANGLE, M, dict(zip(TRIANGLE, (1.0, c, 1.0))))
 
 
 def test_nonnegativity_threshold():
@@ -81,7 +96,7 @@ def test_hexagon_circuit_closed_form():
         coeffs, c_m = hex_coefficients(eta)
         a, b = ab_values(eta)
         P = negative_prefactor(eta)
-        support = CircuitSupport(tri, M, {v: coeffs[POINT_INDEX[v]] for v in tri.vertices}, c_m)
+        support = CircuitSupport(tri, M, {v: coeffs[POINT_INDEX[v]] for v in tri}, c_m)
         rhs = 3.0 * P * (eta.K1 * eta.K4**2 * eta.k6**2 * eta.k9**2 * a) ** (1 / 3)
         assert math.isclose(circuit_number(support), rhs, rel_tol=1e-12)
         assert is_nonnegative(support) == (-b * P <= rhs)
@@ -152,17 +167,16 @@ def test_optimizer_returns_for_zero_and_negative_tol():
 
 @given(st.permutations(range(3)), positive, positive, positive)
 def test_circuit_number_permutation_invariant(perm, a, b, c):
-    verts = TRIANGLE.vertices
-    coeffs = dict(zip(verts, (a, b, c)))
+    coeffs = dict(zip(TRIANGLE, (a, b, c)))
     base = circuit_number(CircuitSupport(TRIANGLE, M, coeffs))
-    shuffled = Simplex(tuple(verts[i] for i in perm))
+    shuffled = Simplex(TRIANGLE[i] for i in perm)
     assert math.isclose(circuit_number(CircuitSupport(shuffled, M, coeffs)), base,
                         rel_tol=1e-12)
 
 
 @given(positive, positive, positive, st.sampled_from([0.5, 2.0, 10.0]))
 def test_coefficient_homogeneity(a, b, c, k):
-    coeffs = dict(zip(TRIANGLE.vertices, (a, b, c)))
+    coeffs = dict(zip(TRIANGLE, (a, b, c)))
     scaled = {v: k * x for v, x in coeffs.items()}
     assert math.isclose(
         circuit_number(CircuitSupport(TRIANGLE, M, scaled)),
@@ -173,7 +187,7 @@ def test_coefficient_homogeneity(a, b, c, k):
 @given(positive, positive)
 def test_amgm_segment(a, b):
     seg = Simplex((LatticePoint(1, 0), LatticePoint(3, 2)))
-    theta = circuit_number(CircuitSupport(seg, M, dict(zip(seg.vertices, (a, b)))))
+    theta = circuit_number(CircuitSupport(seg, M, dict(zip(seg, (a, b)))))
     assert math.isclose(theta, 2.0 * math.sqrt(a * b), rel_tol=1e-12)
     assert theta <= a + b + 1e-12 * (a + b)
 
@@ -194,7 +208,7 @@ def test_soundness_on_random_circuits(rng):
     certified = 0
     for _ in range(1000):
         s = simplices[rng.integers(len(simplices))]
-        coeffs = {v: float(c) for v, c in zip(s.vertices, rng.uniform(1e-6, 10.0, len(s)))}
+        coeffs = {v: float(c) for v, c in zip(s, rng.uniform(1e-6, 10.0, len(s)))}
         theta = circuit_number(CircuitSupport(s, M, coeffs))
         c_m = -float(rng.uniform(0.0, 1.5)) * theta
         support = CircuitSupport(s, M, coeffs, c_m)

@@ -52,6 +52,42 @@ def test_enumerate_custom_points_no_cover(tmp_path, capsys):
     assert "no pure cover" in err
 
 
+def test_enumerate_hexagon_file_gives_the_default_output(tmp_path, capsys):
+    f = tmp_path / "hexagon.txt"  # the ten points out of fixture order
+    f.write_text("m 2 1\n3 1\n1 1\n3 2\n1 0\n0 1\n2 2\n4 2\n4 1\n2 0\n0 0\n")
+    assert run(capsys, "enumerate", "--check-census", "--points", str(f)) == \
+        run(capsys, "enumerate", "--check-census")
+
+
+# the listing printed for a configuration other than the hexagon, as before
+# the hexagon check moved into one place
+SIX_POINT_LISTING = (
+    "1: (Simplex(vertices=(LatticePoint(x=0, z=0), LatticePoint(x=2, z=2), LatticePoint(x=4, z=1))), "
+    "Simplex(vertices=(LatticePoint(x=0, z=1), LatticePoint(x=2, z=0), LatticePoint(x=4, z=2))))\n"
+    "2: (Simplex(vertices=(LatticePoint(x=0, z=0), LatticePoint(x=4, z=2))), "
+    "Simplex(vertices=(LatticePoint(x=0, z=1), LatticePoint(x=4, z=1))), "
+    "Simplex(vertices=(LatticePoint(x=2, z=0), LatticePoint(x=2, z=2))))\n"
+)
+
+
+def test_enumerate_listing_of_another_configuration(tmp_path, capsys):
+    f = tmp_path / "six.txt"
+    f.write_text("0 0\n2 0\n4 1\n4 2\n2 2\n0 1\nm 2 1\n")
+    assert run(capsys, "enumerate", "--points", str(f)) == (EXIT_OK, SIX_POINT_LISTING, "")
+
+
+def test_enumerate_fixture_mismatch_exits_1(monkeypatch, capsys):
+    import hexcover.cli as cli
+
+    fixture = cli.fixture_keys()
+    wrong = {**fixture, 9: fixture[10]}
+    monkeypatch.setattr(cli, "fixture_keys", lambda: dict(wrong))
+    code, out, err = run(capsys, "enumerate")
+    assert code == 1
+    assert len(out.splitlines()) == 16
+    assert err == f"fixture mismatch: {{9: {fixture[10]!r}}}\n"
+
+
 def test_certify_all_ones_kappa(capsys):
     code, out, _ = run(capsys, "certify", "--kappa", ",".join(["1"] * 12))
     assert code == EXIT_OK
@@ -377,6 +413,8 @@ def test_homotopy_bad_input_is_usage_error(monkeypatch, capsys, flag, value):
     ["certify", "--eta", "5e300,1,1,5e300,2,1,1,1"],
     ["certify", "--kappa", "1,1,1,1,1,1,1,1,1,1,1,1", "--eta", "5,1,1,5,2,1,1,1"],
     ["certify", "--eta", "5,1,1,5,2,1,1,1", "--file", "{tmp}/point.txt"],
+    ["certify", "--kappa", "5,1,1,5,2,1,1,1"], ["certify", "--eta", "1,1,1,1,1,1,1,1,1,1,1,1"],
+    ["enumerate", "--points", "{tmp}/no_cover.txt", "--check-census"],
     ["containment", "--threshold", "-3", "--n", "1000"],
 ], ids=" ".join)
 def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, argv):
@@ -388,6 +426,7 @@ def test_bad_input_is_rejected_before_any_work(monkeypatch, tmp_path, capsys, ar
     monkeypatch.setattr(cli, "evaluate_covers", no_work)
     monkeypatch.setattr(cli, "enumerate_pure_covers", no_work)
     (tmp_path / "no_m.txt").write_text("4 2\n2 0\n")
+    (tmp_path / "no_cover.txt").write_text("4 2\n2 0\n0 1\n0 0\nm 2 1\n")
     (tmp_path / "short_line.txt").write_text("4 2\n2\nm 2 1\n")
     (tmp_path / "repeated.txt").write_text("4 2\n4 2\nm 2 1\n")
     (tmp_path / "extra_numbers.txt").write_text("4 2 7\nm 2 1 5\n")

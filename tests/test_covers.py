@@ -33,7 +33,7 @@ def test_hexagon_has_sixteen_covers():
 def test_single_segment_instance():
     covers = enumerate_pure_covers([LatticePoint(0, 1), LatticePoint(4, 1)], M)
     assert len(covers) == 1
-    assert covers[0].simplices[0].vertices == (LatticePoint(0, 1), LatticePoint(4, 1))
+    assert covers[0].simplices[0] == (LatticePoint(0, 1), LatticePoint(4, 1))
 
 
 def test_exactly_two_five_segment_covers():
@@ -60,7 +60,7 @@ def test_enumerator_is_input_sensitive():
 
 
 def test_fixture_cover_9_structure():
-    blocks = {frozenset(s.vertices) for s in cover_fixture(9).simplices}
+    blocks = {frozenset(s) for s in cover_fixture(9).simplices}
     assert blocks == {
         frozenset({LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)}),
         frozenset({LatticePoint(0, 0), LatticePoint(4, 1), LatticePoint(2, 2)}),
@@ -73,8 +73,8 @@ def test_fixture_five_segment_pairings():
     # cover 15 pairs a6=(0,1) with i2=(3,1); cover 16 pairs a6 with a3=(4,1)
     def partner(cid, point):
         for s in cover_fixture(cid).simplices:
-            if point in s.vertices:
-                return next(v for v in s.vertices if v != point)
+            if point in s:
+                return next(v for v in s if v != point)
 
     assert partner(15, LatticePoint(0, 1)) == LatticePoint(3, 1)
     assert partner(16, LatticePoint(0, 1)) == LatticePoint(4, 1)
@@ -86,10 +86,10 @@ def test_special_triangle_covers_are_3_and_4():
         frozenset({LatticePoint(2, 2), LatticePoint(4, 2), LatticePoint(1, 0)}),
     )
     for cid in (3, 4):
-        blocks = {frozenset(s.vertices) for s in cover_fixture(cid).simplices}
+        blocks = {frozenset(s) for s in cover_fixture(cid).simplices}
         assert special[0] in blocks and special[1] in blocks
     for cid in set(range(1, 17)) - {3, 4}:
-        blocks = {frozenset(s.vertices) for s in cover_fixture(cid).simplices}
+        blocks = {frozenset(s) for s in cover_fixture(cid).simplices}
         assert special[0] not in blocks
 
 
@@ -102,17 +102,17 @@ def test_fixture_covers_appear_in_enumeration():
 def test_mirror_pair_10_12():
     def mirror(cover):
         return {
-            frozenset(LatticePoint(4 - v.x, 2 - v.z) for v in s.vertices)
+            frozenset(LatticePoint(4 - v.x, 2 - v.z) for v in s)
             for s in cover.simplices
         }
 
-    blocks12 = {frozenset(s.vertices) for s in cover_fixture(12).simplices}
+    blocks12 = {frozenset(s) for s in cover_fixture(12).simplices}
     assert mirror(cover_fixture(10)) == blocks12
 
 
 def test_partition_and_interiority():
     for cover in enumerate_pure_covers(HEXAGON_POSITIVE, M):
-        used = Counter(v for s in cover.simplices for v in s.vertices)
+        used = Counter(v for s in cover.simplices for v in s)
         assert used == Counter(HEXAGON_POSITIVE)
         for s in cover.simplices:
             assert contains_in_relative_interior(s, M)
@@ -127,7 +127,7 @@ def test_canonical_key_permutation_invariant():
         blocks = list(cover.simplices)
         rng.shuffle(blocks)
         shuffled = tuple(
-            Simplex(tuple(rng.sample(list(s.vertices), len(s.vertices)))) for s in blocks
+            Simplex(rng.sample(s, len(s))) for s in blocks
         )
         assert canonical_key(PureCover(9, shuffled)) == key
 

@@ -104,7 +104,7 @@ def test_segment_midpoint_barycentrics():
 def test_barycentrics_match_gaussian_elimination():
     s = Simplex((LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(3, 2)))
     lam = barycentric_coordinates(s, M)
-    assert lam == gauss_barycentrics(s.vertices, M)
+    assert lam == gauss_barycentrics(s, M)
 
 
 def test_relative_interior_examples():
@@ -207,8 +207,8 @@ def test_reconstruction_exact(verts, px, pz):
     if lam is None:
         return
     assert sum(lam) == 1
-    assert sum(l * v.x for l, v in zip(lam, s.vertices)) == p.x
-    assert sum(l * v.z for l, v in zip(lam, s.vertices)) == p.z
+    assert sum(l * v.x for l, v in zip(lam, s)) == p.x
+    assert sum(l * v.z for l, v in zip(lam, s)) == p.z
     floats = tuple(map(float, lam))
     assert abs(sum(floats) - 1.0) <= 1e-12
 
@@ -233,3 +233,22 @@ def test_degenerate_simplices_raise():
         Simplex((LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(2, 0)))
     with pytest.raises(DegenerateSimplexError):
         Simplex((LatticePoint(0, 0),))
+
+
+@pytest.mark.parametrize("vertices,message", [
+    (((0, 0), (0, 0)), "repeated vertex"), (((0, 0), (1, 0), (2, 0)), "collinear vertices"),
+    (((0, 0),), "needs 2 or 3 vertices"), (((0, 0), (2, 0), (0, 2), (2, 2)), "needs 2 or 3 vertices"),
+])
+def test_every_simplex_constructor_checks(vertices, message):
+    for make in (lambda: Simplex(vertices), lambda: Simplex(vertices=vertices),
+                 lambda: Simplex(iter(vertices))):
+        with pytest.raises(DegenerateSimplexError, match=message):
+            make()
+
+
+def test_simplex_is_its_vertices():
+    s = Simplex(vertices=[(0, 1), (4, 1)])
+    assert isinstance(s, tuple) and s == (LatticePoint(0, 1), LatticePoint(4, 1))
+    assert hash(s) == hash((LatticePoint(0, 1), LatticePoint(4, 1)))
+    # ``enumerate --points`` prints this repr for any configuration but the hexagon
+    assert repr(s) == "Simplex(vertices=(LatticePoint(x=0, z=1), LatticePoint(x=4, z=1)))"

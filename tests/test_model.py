@@ -34,7 +34,7 @@ rate = st.floats(min_value=1e-2, max_value=1e2)
 
 def test_reduce_all_ones():
     eta = reduce(KappaVector((1.0,) * 12))
-    assert eta.as_tuple() == (2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0)
+    assert eta == (2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_reduce_k1_ratio():
@@ -61,6 +61,33 @@ def test_kappa_validation():
         KappaVector((0.0,) + (1.0,) * 11)
     with pytest.raises(ValueError):
         EtaPoint(1, 1, 1, 1, 1, 1, 1, -1)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_every_eta_and_kappa_constructor_checks(bad):
+    eta = EtaPoint(5.0, 1.0, 1.0, 5.0, 2.0, 1.0, 1.0, 1.0)
+    fields = eta._asdict()
+    for make in (lambda: EtaPoint(*eta[:7], bad), lambda: EtaPoint(**{**fields, "K3": bad}),
+                 lambda: EtaPoint._make([bad, *eta[1:]]), lambda: eta._replace(k6=bad)):
+        with pytest.raises(ValueError, match="all eta components must be strictly positive"):
+            make()
+    for make in (lambda: KappaVector((1.0,) * 11 + (bad,)), lambda: KappaVector(k=[bad] + [1.0] * 11)):
+        with pytest.raises(ValueError, match="all rate constants must be strictly positive"):
+            make()
+    for make in (lambda: KappaVector((1.0,) * 11), lambda: KappaVector(k=iter([1.0] * 13))):
+        with pytest.raises(ValueError, match="need 12 rate constants"):
+            make()
+    with pytest.raises(TypeError):
+        EtaPoint(*eta[:7])
+
+
+def test_eta_and_kappa_are_their_values():
+    kappa = KappaVector(k=[1.0] * 12)
+    eta = reduce(kappa)
+    assert isinstance(kappa, tuple) and kappa == (1.0,) * 12
+    assert isinstance(eta, tuple) and tuple(eta) == (eta.K1, eta.K2, eta.K3, eta.K4, eta.k3, eta.k6, eta.k9, eta.k12)
+    assert EtaPoint(K1=3, K2=1, K3=1, K4=3, k3=1, k6=1, k9=1, k12=1) == (3, 1, 1, 3, 1, 1, 1, 1)
+    assert eta.swapped() == (eta.K4, eta.K3, eta.K2, eta.K1, *eta[4:])
 
 
 def test_ab_all_ones():
@@ -136,7 +163,7 @@ def test_case4_inequality_chain():
 def test_hex_coefficients_match_example_circuit():
     # the {m, a2, a6, a4} coefficients of the displayed single-circuit example
     for eta in case4_eta_points(5, seed=21):
-        K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
+        K1, K2, K3, K4, k3, k6, k9, k12 = eta
         a, b = ab_values(eta)
         coeffs, c_m = hex_coefficients(eta)
         assert math.isclose(c_m, b * K1 * K2 * K3 * k3 * k6 * k12, rel_tol=1e-12)
@@ -157,7 +184,7 @@ def test_hex_coefficients_flag_non_case4():
     with pytest.raises(ValueError):
         hex_coefficients(eta)
     # the batch kernel checks no case and gives the raw (partially nonpositive) coefficients
-    [(coeffs, _)] = unchecked_coefficients(np.array(eta.as_tuple())[:, None])
+    [(coeffs, _)] = unchecked_coefficients(np.array(eta)[:, None])
     assert coeffs[POINT_INDEX[A4]] == 0.0
 
 
@@ -165,7 +192,7 @@ def eval_p_eta(eta: EtaPoint, x1: float, x2: float, x3: float) -> float:
     """Direct evaluation of the full trivariate polynomial at positive x, the oracle of ``_h_part``."""
     if not (x1 > 0 and x2 > 0 and x3 > 0):
         raise ValueError("x must be strictly positive")
-    K1, K2, K3, K4, k3, k6, k9, k12 = eta.as_tuple()
+    K1, K2, K3, K4, k3, k6, k9, k12 = eta
     a, b = ab_values(eta)
     value = K2 * k3 * a * (
         K2 * K4 * k3 * k9 * x1**4 * x3**2
