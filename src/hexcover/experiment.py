@@ -34,18 +34,19 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .covers import all_covers, cover_fixture
-from .model import EtaPoint, _reduced, ab_values, hex_coefficient_arrays, is_case4
+from .model import EtaPoint, a_value, b_value, hex_coefficient_arrays, is_case4, michaelis_constant
 from .circuits import _simplex_table, theta_rows
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
-TILE = 1 << 12  # columns per draw tile of an inline block: 12 rows of float64 in 384 KB of L2
+TILE = 1 << 12  # columns per tile of an inline block: its (5, TILE) float64 draw buffer is 160 KB
 LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
 MAX_THREADS = 64  # most worker threads a plan may ask for
 MAX_SWEEP_STEPS = 1000  # most grid steps per side of a homotopy sweep
 DEFAULT_LINEAR_STEP = 0.05  # grid step of a linear homotopy unless one is given
 DEFAULT_SIMPLICIAL_STEP = 1 / 16  # grid step of a simplicial homotopy unless one is given
 BOX_RANGE = (2.0**-99, 2.0**150)  # box sizes whose case-4 values stay normal; see SamplePlan
-_draws = threading.local()  # each thread's reused (12, tile) draw buffer
+A_ROWS = (2, 5, 8, 11)  # kappa rows of k3, k6, k9 and k12, all that a = k3*k12 - k6*k9 reads
+_draws = threading.local()  # each thread's reused (5, tile) draw buffer and 12 row generators
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,7 @@ class SamplePlan:
     or numpy's; any other type raises ValueError.  ``threads`` (1 to
     ``MAX_THREADS``) sets how many worker threads draw blocks; it never
     changes the sample stream, which depends only on the seed and the box
-    size.  It sets ``tile``, the width each block is drawn and classified in:
-    ``TILE`` columns when the blocks run inline, so the draw buffer and its
-    temporaries stay in cache, and the whole block on a pool, where narrow
-    tiles multiply the GIL hand-offs between the workers.
+    size.  It sets ``tile``.
 
     ``box_size`` N must lie in ``BOX_RANGE`` = [2^-99, 2^150].  There no draw
     can push a, b, a coefficient or c_m, nor any left-to-right product that
@@ -109,6 +107,13 @@ class SamplePlan:
 
     @property
     def tile(self) -> int:
+        """The width each block is drawn and classified in.
+
+        ``TILE`` columns when the blocks run inline, so the (5, tile) draw
+        buffer and its temporaries stay in cache; the whole block on a pool,
+        where narrow tiles multiply the GIL hand-offs between the workers.
+        Every kappa row has its own generator, so the width changes no bit.
+        """
         return TILE if self.threads == 1 else RAW_BLOCK
 
 
@@ -143,39 +148,79 @@ class CoverEvaluator:
         return np.array([functools.reduce(operator.add, rows(thetas)) for rows in self._cover_rows])
 
 
+def _row_generators(seed: int, block: int) -> list:
+    """This thread's 12 generators, re-keyed for one raw block.
+
+    Kappa row r's generator is Philox keyed by (seed, block) at counter
+    r*RAW_BLOCK/4, the row's first counter in the block's one stream; an
+    empty buffer (``buffer_pos`` 4) makes its bits those of a new
+    ``Philox(key=..., counter=...)``, which would cost a ``SeedSequence`` each.
+    """
+    if (rngs := getattr(_draws, "rngs", None)) is None:
+        rngs = _draws.rngs = [Generator(Philox()) for _ in range(12)]
+    key = [int(seed), int(block)]
+    for row, rng in enumerate(rngs):
+        rng.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": [row * RAW_BLOCK // 4, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rngs
+
+
+def _to_kappa(u: np.ndarray, box_size: float) -> np.ndarray:
+    """Uniform draws U turned in place into kappa = N*(1-U), so every component is > 0."""
+    np.subtract(1.0, u, out=u)
+    if box_size != 1.0:  # x*1.0 == x bit for bit for every finite x
+        u *= box_size
+    return u
+
+
+def _classified_tile(rngs: list, buffer: np.ndarray, box_size: float):
+    """(eta, a, b) of the case-4 samples in the next ``buffer.shape[1]`` columns of a block.
+
+    k3, k6, k9 and k12 are drawn into the first four rows of ``buffer``, and
+    only the columns with a > 0 go on: every other kappa row is drawn into
+    the last row and compressed to those columns before it becomes kappa.
+    ``is_case4`` decides on the survivors, so the samples keep raw-column
+    order.
+    """
+    a_rows, scratch = buffer[:len(A_ROWS)], buffer[-1]
+    for row, out in zip(A_ROWS, a_rows):
+        rngs[row].random(out=out)
+    a = a_value(*_to_kappa(a_rows, box_size))
+    survivors = np.flatnonzero(a > 0)
+    a = a.take(survivors)
+    k_cat = a_rows.take(survivors, axis=1)  # k3, k6, k9 and k12 of the survivors
+
+    def at_survivors(row):
+        rngs[row].random(out=scratch)
+        return _to_kappa(scratch.take(survivors), box_size)
+
+    # an enzyme's k_on and k_off are the two kappa rows before its k_cat
+    K = [michaelis_constant(at_survivors(row - 2), at_survivors(row - 1), k) for row, k in zip(A_ROWS, k_cat)]
+    rows = (*K, *k_cat)
+    b = b_value(rows)
+    accepted = np.flatnonzero(is_case4(a, b))
+    eta = np.empty((8, accepted.size))
+    for row, out in zip(rows, eta):
+        row.take(accepted, out=out)
+    return eta, a[accepted], b[accepted]
+
+
 def classified_block(seed: int, block: int, box_size: float, tile: int = RAW_BLOCK):
     """The case-4 samples (a > 0, b < 0) of one raw block as (eta, a, b), eta of shape (8, k).
 
-    Draws use kappa = N*(1-U) so every component is strictly positive.  The
-    block is drawn ``tile`` columns at a time, a divisor of ``RAW_BLOCK``,
-    with the bits of one Philox generator drawing all 12 rows: Philox is
-    counter-based, so a narrower tile gives each row its own generator,
-    started at that row's first counter.  Each tile lives in the thread's
-    one (12, tile) draw buffer, so no block re-faults its pages, and is
-    reduced, filtered and compressed once by its accepted indices; the
-    tiles' samples are joined in column order, and no returned array
-    aliases the buffer.
+    Row r of the block's (12, RAW_BLOCK) kappa is the r-th run of RAW_BLOCK
+    draws of one Philox stream keyed by (seed, block), and since Philox is
+    counter-based each row has its own generator (``_row_generators``).  The
+    block is filtered ``tile`` columns at a time (``_classified_tile``), a
+    divisor of ``RAW_BLOCK``, in the thread's one reused (5, tile) draw
+    buffer, so no block re-faults its pages; the tiles' samples are joined in
+    column order, and no returned array aliases the buffer.
     """
-    if (kappa := getattr(_draws, "kappa", None)) is None or kappa.shape[1] != tile:
-        kappa = _draws.kappa = np.empty((12, tile))
-    # a whole block is one run of the stream; in a narrower tile each row is one
-    runs = [kappa] if tile == RAW_BLOCK else kappa
-    key = [np.uint64(seed), np.uint64(block)]
-    rngs = [Generator(Philox(key=key, counter=row * RAW_BLOCK // 4)) for row in range(len(runs))]
-    tiles = []
-    for _ in range(RAW_BLOCK // tile):
-        for rng, run in zip(rngs, runs):
-            rng.random(out=run)
-        np.subtract(1.0, kappa, out=kappa)
-        if box_size != 1.0:  # x*1.0 == x bit for bit for every finite x
-            kappa *= box_size
-        rows = _reduced(kappa)
-        a, b = ab_values(rows)
-        accepted = np.flatnonzero(is_case4(a, b))
-        eta = np.empty((8, accepted.size))
-        for row, out in zip(rows, eta):
-            row.take(accepted, out=out)
-        tiles.append((eta, a[accepted], b[accepted]))
+    if (buffer := getattr(_draws, "buffer", None)) is None or buffer.shape[1] != tile:
+        buffer = _draws.buffer = np.empty((len(A_ROWS) + 1, tile))
+    rngs = _row_generators(seed, block)
+    tiles = [_classified_tile(rngs, buffer, box_size) for _ in range(RAW_BLOCK // tile)]
     return tuple(np.concatenate(parts, axis=-1) for parts in zip(*tiles))
 
 

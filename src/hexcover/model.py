@@ -61,13 +61,20 @@ class EtaPoint(collections.namedtuple("EtaPoint", "K1 K2 K3 K4 k3 k6 k9 k12")):
         return EtaPoint(self.K4, self.K3, self.K2, self.K1, self.k3, self.k6, self.k9, self.k12)
 
 
+def michaelis_constant(k_on, k_off, k_cat):
+    """K = (k_off + k_cat) / k_on of one enzyme, on floats or rows alike."""
+    return (k_off + k_cat) / k_on
+
+
 def _reduced(k):
     """Michaelis-Menten reduction of rate constants k[0..11] to (K1..K4, k3, k6, k9, k12).
 
-    Works with floats or numpy rows alike.
+    Enzyme i's (k_on, k_off, k_cat) are k[3i], k[3i+1] and k[3i+2].  Works
+    with floats or numpy rows alike.
     """
-    return ((k[1] + k[2]) / k[0], (k[4] + k[5]) / k[3], (k[7] + k[8]) / k[6],
-            (k[10] + k[11]) / k[9], k[2], k[5], k[8], k[11])
+    return (michaelis_constant(k[0], k[1], k[2]), michaelis_constant(k[3], k[4], k[5]),
+            michaelis_constant(k[6], k[7], k[8]), michaelis_constant(k[9], k[10], k[11]),
+            k[2], k[5], k[8], k[11])
 
 
 def reduce(kappa: KappaVector) -> EtaPoint:
@@ -75,16 +82,24 @@ def reduce(kappa: KappaVector) -> EtaPoint:
     return EtaPoint(*_reduced(kappa))
 
 
+def a_value(k3, k6, k9, k12):
+    """a = k3*k12 - k6*k9, of eta's last four components as floats or rows."""
+    return k3 * k12 - k6 * k9
+
+
+def b_value(eta):
+    """b = (K2+K3)*k3*k12 - (K1+K4)*k6*k9; ``eta`` as in ``ab_values``."""
+    K1, K2, K3, K4, k3, k6, k9, k12 = eta
+    return (K2 + K3) * k3 * k12 - (K1 + K4) * k6 * k9
+
+
 def ab_values(eta):
-    """a = k3*k12 - k6*k9 and b = (K2+K3)*k3*k12 - (K1+K4)*k6*k9.
+    """(a, b) of eta: ``a_value`` and ``b_value``.
 
     ``eta`` is 8 floats (an EtaPoint), an (8, k) array or a sequence of 8
     rows of the same components; the result is a pair of floats or of arrays.
     """
-    K1, K2, K3, K4, k3, k6, k9, k12 = eta
-    a = k3 * k12 - k6 * k9
-    b = (K2 + K3) * k3 * k12 - (K1 + K4) * k6 * k9
-    return a, b
+    return a_value(*eta[4:]), b_value(eta)
 
 
 class Case(enum.Enum):

@@ -2,11 +2,13 @@
 
 import hashlib
 import math
-import resource
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,12 +94,13 @@ def test_draws_strictly_positive_and_in_box():
             assert (eta[row] > 0).all() and (eta[row] <= box).all()
 
 
-# the sampler keeps no other case; whole blocks are the pool's tiles, TILE the inline width
+# the sampler keeps no other case; whole blocks are the pool's tiles, TILE the inline width.
+# Seed 2^64 - 1 and block 2^40 put high bits in both words of the re-keyed Philox key.
 @pytest.mark.parametrize("case, tile", [("case4", RAW_BLOCK), ("case4", TILE)], ids=["case4", "case4-tile"])
 @pytest.mark.parametrize("box", [1.0, 3.7, 2.0**-99, 2.0**150])
 def test_classified_block_matches_stacked_reference(stacked_block, case, tile, box):
-    for block in range(4):
-        got, want = classified_block(7, block, box, tile), stacked_block(7, block, box, case)
+    for seed, block in [(7, 0), (7, 1), (7, 2), (7, 3), (2**64 - 1, 2**40), (2**64 - 1, 0)]:
+        got, want = classified_block(seed, block, box, tile), stacked_block(seed, block, box, case)
         for x, y in zip(got, want):
             assert x.shape == y.shape and x.flags.c_contiguous
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
@@ -327,15 +330,19 @@ def _kept_bytes(plan, keep_theta):
         tracemalloc.stop()
 
 
-def test_serial_run_peak_stays_within_a_few_tiles():
-    """A serial run's traced peak, its draw buffer included, in a thread that has none yet."""
+def _traced_peak(threads):
+    """Traced peak of a 200,000-sample run of covers 4, 9 and 15, run in a thread with no draw buffer yet.
+
+    A pool's workers are new threads of each run, so their buffers are traced too.
+    """
     evaluate_covers(SamplePlan(target_case4_samples=1), keep_theta=())  # fill the module caches
     peak = []
 
     def run():
         tracemalloc.start()
         try:
-            evaluate_covers(SamplePlan(target_case4_samples=200_000, seed=11), keep_theta=(4, 9, 15))
+            evaluate_covers(SamplePlan(target_case4_samples=200_000, seed=11, threads=threads),
+                            keep_theta=(4, 9, 15))
             peak.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -344,8 +351,18 @@ def test_serial_run_peak_stays_within_a_few_tiles():
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive() and len(peak) == 1
-    # about 3.5 MB with TILE-wide draws; a full-width (12, RAW_BLOCK) buffer alone is 6.3 MB
-    assert peak[0] < 5_000_000
+    return peak[0]
+
+
+def test_serial_run_peak_stays_within_a_few_tiles():
+    # about 3.4 MB with TILE-wide draws; a full-width (12, RAW_BLOCK) buffer alone is 6.3 MB
+    assert _traced_peak(threads=1) < 5_000_000
+
+
+def test_pool_run_peak_stays_within_two_filtered_blocks():
+    # 12.3-13.0 MB with (5, RAW_BLOCK) buffers that draw eight of the 12 rows only for
+    # the columns with a > 0; 20.0-21.3 MB with a (12, RAW_BLOCK) buffer per worker
+    assert _traced_peak(threads=2) < 16_000_000
 
 
 def test_run_keeps_no_per_sample_arrays():
@@ -365,20 +382,36 @@ def test_homotopy_run_keeps_only_mixed_samples():
     assert kept < 256 * 1024  # the 3 Theta rows and c_m of every sample would be 6.4 MB
 
 
+# A second serial run's minor faults, in a fresh interpreter: how often glibc trims the
+# heap depends on its dynamic mmap threshold, which any earlier test in the process moves.
+SECOND_RUN_FAULTS = """
+import resource
+from hexcover.experiment import SamplePlan, evaluate_covers
+plan = SamplePlan(target_case4_samples=200_000, seed=11)
+evaluate_covers(plan)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evaluate_covers(plan)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads minor page faults from getrusage")
 def test_serial_run_reuses_its_pages():
-    plan = SamplePlan(target_case4_samples=200_000, seed=11)
-    evaluate_covers(plan)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    evaluate_covers(plan)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 4096
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", SECOND_RUN_FAULTS], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    # about 3,000; a run whose heap is trimmed and faulted back in on every block reads about 30,000
+    assert int(done.stdout) < 4096
 
 
 def test_classified_blocks_of_one_thread_share_no_memory():
     for tile in (RAW_BLOCK, TILE):
-        first, second = classified_block(0, 0, 1.0, tile), classified_block(0, 1, 1.0, tile)
-        buffer = experiment._draws.kappa
-        assert buffer.shape == (12, tile)
+        first = classified_block(0, 0, 1.0, tile)
+        rngs = experiment._draws.rngs
+        second = classified_block(0, 1, 1.0, tile)
+        buffer = experiment._draws.buffer
+        # four rows decide a > 0, one scratch row draws the other eight; the generators are re-keyed
+        assert buffer.shape == (5, tile) and experiment._draws.rngs is rngs and len(rngs) == 12
         for x in first:
             assert not np.shares_memory(x, buffer)
             for y in second:

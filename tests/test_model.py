@@ -135,10 +135,13 @@ def test_case4_rule_never_holds_for_nan(monkeypatch):
                 closed_form_bound(15, eta)
 
     tiled_a, tiled_b = (np.resize([p[i] for p in pairs], RAW_BLOCK) for i in (0, 1))
-    monkeypatch.setattr(experiment, "ab_values", lambda eta: (tiled_a, tiled_b))
+    monkeypatch.setattr(experiment, "a_value", lambda k3, k6, k9, k12: tiled_a)
+    # the block computes b only on the columns its a > 0 pre-filter keeps
+    monkeypatch.setattr(experiment, "b_value", lambda eta: tiled_b[tiled_a > 0])
     _, a, b = classified_block(1, 0, 1.0)
+    case4 = np.array([x > 0 and y < 0 for x, y in zip(tiled_a, tiled_b)])
     assert not (np.isnan(a).any() or np.isnan(b).any())
-    assert a.size == np.count_nonzero([x > 0 and y < 0 for x, y in zip(tiled_a, tiled_b)])
+    assert np.array_equal(a, tiled_a[case4]) and np.array_equal(b, tiled_b[case4])
 
 
 def test_case4_inequality_chain():
