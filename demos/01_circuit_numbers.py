@@ -12,9 +12,8 @@ from hexcover import (
     barycentric_coordinates,
     circuit_number,
     is_nonnegative,
-    optimize_scalar_weight,
 )
-from hexcover.cli import toy_split
+from hexcover.cli import toy_optimum, toy_split
 from hexcover.geometry import M
 
 # The canonical triangle: vertices (4,2), (2,0), (0,1) with m = (2,1) inside.
@@ -40,7 +39,7 @@ print("segment Theta with coefficients (4, 9):",
 # Splitting a coefficient across two circuits can beat either circuit alone.
 # g(x,y) = x^4 y^2 + x^2 + y + 1 - c x^2 y supports the triangle above plus the
 # segment {(0,0),(4,2)}; the vertex (4,2) is shared with weight w vs 1-w.
-w_opt, value = optimize_scalar_weight(toy_split)
+w_opt, value = toy_optimum()
 print(f"optimal split weight w = {w_opt:.4f}, Theta sum = {value:.4f}")
 print("  (either circuit alone certifies less: "
       f"w=1 -> {toy_split(1.0):.4f}, w=0 -> {toy_split(0.0):.4f})")

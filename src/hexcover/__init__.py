@@ -20,7 +20,6 @@ from .circuits import (
     circuit_number,
     cover_theta_sum,
     is_nonnegative,
-    optimize_scalar_weight,
 )
 from .covers import all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers, parse_cover
 from .model import (

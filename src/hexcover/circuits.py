@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 
@@ -105,15 +105,21 @@ def circuit_number(c: CircuitSupport) -> float:
 
 
 def is_nonnegative(c: CircuitSupport) -> bool:
-    """Nonnegativity on the positive orthant: -c_beta <= Theta.
+    """Nonnegativity on the positive orthant: -c_beta <= Theta, decided exactly; ties count as nonnegative.
 
-    The comparison allows a few ulps of slack on Theta so that exact boundary
-    cases (such as unit coefficients with -c_beta equal to the true circuit
-    number) are not misclassified by log/exp rounding; ties count as
-    nonnegative.
+    With lambda_i = p_i/q, Theta**q = prod (c_i/lambda_i)**p_i is a rational
+    number in the coefficients' float values, so for -c_beta > 0 the test
+    compares (-c_beta)**q with it in Fractions, and no exp can overflow.
+    Non-finite values compare as floats against ``circuit_number``, so NaN
+    gives False.
     """
-    theta = circuit_number(c)
-    return -c.negative_coeff <= theta * (1.0 + 8.0 * sys.float_info.epsilon)
+    lams = barycentric_coordinates(c.simplex, c.interior)
+    neg, values = -c.negative_coeff, [c.positive_coeffs[v] for v in c.simplex]
+    if lams is None or not all(map(math.isfinite, [neg, *values])):
+        return neg <= circuit_number(c)  # NotACircuitError when lams is None
+    q = math.lcm(*(lam.denominator for lam in lams))
+    theta_q = math.prod((Fraction(v) / lam) ** int(lam * q) for v, lam in zip(values, lams))
+    return neg <= 0 or Fraction(neg) ** q <= theta_q
 
 
 @dataclass(frozen=True)
@@ -137,38 +143,3 @@ def cover_theta_sum(cover: PureCover, coeffs) -> float:
         raise ValueError(f"need ten positive coefficients, got {column}")
     thetas = theta_rows(_simplex_table(cover.simplices), np.log(column))
     return functools.reduce(operator.add, thetas, 0.0)  # left to right, as the batch adds
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def optimize_scalar_weight(theta_fn: Callable[[float], float],
-                           tol: float = 1e-6) -> tuple[float, float]:
-    """Maximize ``theta_fn`` on [0, 1]: golden-section search plus a 101-point grid.
-
-    Unimodality is assumed but not proven for our objectives, so the grid scan
-    guards against a golden-section miss; the better of the two wins.  The
-    bracket shrinks on every pass, so any ``tol``, even 0 or negative, returns.
-    """
-    a, b = 0.0, 1.0
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = theta_fn(c), theta_fn(d)
-    while b - a > tol and a < c < d < b:  # within a few ulps the golden points stop moving
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = theta_fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = theta_fn(d)
-    w_gold = 0.5 * (a + b)
-    f_gold = theta_fn(w_gold)
-    best_w, best_f = w_gold, f_gold
-    for k in range(101):
-        w = k / 100.0
-        f = theta_fn(w)
-        if f > best_f:
-            best_w, best_f = w, f
-    return best_w, best_f

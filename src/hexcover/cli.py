@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuits import CircuitSupport, circuit_number, cover_theta_sum, optimize_scalar_weight
+from .circuits import CircuitSupport, circuit_number, cover_theta_sum
 from .covers import (all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers,
                      fixture_keys, is_hexagon, point_configuration)
-from .geometry import A1, A2, A4, A6, HEXAGON_POSITIVE, M, LatticePoint, Simplex
+from .geometry import A1, A2, A4, A6, HEXAGON_POSITIVE, M, LatticePoint, Simplex, barycentric_coordinates
 from .model import (
     CLOSED_FORM_IDS,
     Case,
@@ -370,6 +370,11 @@ def cmd_homotopy(args) -> int:
 _TOY_TRIANGLE, _TOY_SEGMENT = Simplex((A4, A2, A6)), Simplex((A1, A4))
 
 
+def _toy_theta(simplex: Simplex, share: float) -> float:
+    """Theta of a toy circuit: unit coefficients, but ``share`` at a4."""
+    return circuit_number(CircuitSupport(simplex, M, {v: share if v == A4 else 1.0 for v in simplex}))
+
+
 def toy_split(w: float) -> float:
     """Theta sum of the toy split: a4's unit coefficient goes w to the triangle, 1 - w to the segment.
 
@@ -379,19 +384,38 @@ def toy_split(w: float) -> float:
     """
     total = 0.0
     if w > 0:
-        total += circuit_number(CircuitSupport(_TOY_TRIANGLE, M, {A4: w, A2: 1.0, A6: 1.0}))
+        total += _toy_theta(_TOY_TRIANGLE, w)
     if w < 1:
-        total += circuit_number(CircuitSupport(_TOY_SEGMENT, M, {A1: 1.0, A4: 1.0 - w}))
+        total += _toy_theta(_TOY_SEGMENT, 1.0 - w)
     return total
+
+
+def toy_optimum() -> tuple[float, float]:
+    """The best split (w, toy_split(w)), where toy_split's slope changes sign.
+
+    A circuit number is concave in its coefficients, and by Euler's identity
+    c_v dTheta/dc_v = lambda_v Theta.  So the slope of toy_split on (0, 1) is
+    lambda_tri Theta_tri(w)/w - lambda_seg Theta_seg(1 - w)/(1 - w), with a4's
+    lambdas 1/3 and 1/2: strictly decreasing, from +inf at 0 to -inf at 1.
+    Bisection on its sign runs until lo and hi are adjacent floats.
+    """
+    lam_tri, lam_seg = (float(barycentric_coordinates(s, M)[s.index(A4)])
+                        for s in (_TOY_TRIANGLE, _TOY_SEGMENT))
+    lo, hi = 0.0, 1.0
+    while (w := 0.5 * (lo + hi)) not in (lo, hi):
+        slope = (lam_tri * _toy_theta(_TOY_TRIANGLE, w) / w
+                 - lam_seg * _toy_theta(_TOY_SEGMENT, 1.0 - w) / (1.0 - w))
+        lo, hi = (w, hi) if slope > 0 else (lo, w)
+    return lo, toy_split(lo)
 
 
 def _selftest_checks() -> list[tuple[str, bool, str]]:
     checks = []
 
-    theta = circuit_number(CircuitSupport(_TOY_TRIANGLE, M, {A4: 1.0, A2: 1.0, A6: 1.0}))
+    theta = _toy_theta(_TOY_TRIANGLE, 1.0)
     checks.append(("circuit_number_theta_3", abs(theta - 3.0) <= 1e-12, f"theta={theta!r}"))
 
-    w_opt, value = optimize_scalar_weight(toy_split)
+    w_opt, value = toy_optimum()
     checks.append(("toy_weighted_optimum",
                    abs(w_opt - 0.5497) <= 1e-3 and abs(value - 3.7996) <= 1e-3,
                    f"w={w_opt:.5f} value={value:.5f}"))

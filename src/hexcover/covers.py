@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from importlib import resources
 
 from .circuits import PureCover
@@ -129,9 +130,12 @@ def fixture_keys() -> dict[int, str]:
 
 
 def cover_fixture(id: int) -> PureCover:
-    """The labeled pure cover CC(id), id in 1..16."""
-    if id not in _fixture():
-        raise ValueError(f"cover id must be in 1..16, got {id}")
+    """The labeled pure cover CC(id), id an integer (Python's or numpy's) in 1..16.
+
+    A float id raises ValueError even when integral: 9.0 == 9, but it cannot index.
+    """
+    if not isinstance(id, numbers.Integral) or id not in _fixture():
+        raise ValueError(f"cover id must be an integer in 1..16, got {id!r}")
     return _fixture()[id][1]
 
 

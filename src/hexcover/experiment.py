@@ -120,21 +120,20 @@ class SamplePlan:
 class CoverEvaluator:
     """Vectorized Theta sums of some pure covers, one table row per distinct simplex.
 
-    ``cover_ids`` picks the covers, all 16 by default; ``self.cover_ids``
-    holds them in id order without repeats.  The 16 covers use 66 simplex
-    blocks but only 21 distinct simplices, and an evaluator compiles only
-    those of its own covers (10 for covers 4, 9 and 15).  Each is evaluated
-    once by ``circuits.theta_rows``, on a batch's rows or on one point's
-    floats, and each cover adds its simplices left to right, so a sample gets
-    the same bits in any batch, as a point, from any evaluator and from
+    ``cover_ids`` picks the covers, all 16 by default, each an id that
+    ``covers.cover_fixture`` accepts; ``self.cover_ids`` holds them in id
+    order without repeats.  The 16 covers use 66 simplex blocks but only 21
+    distinct simplices, and an evaluator compiles only those of its own
+    covers (10 for covers 4, 9 and 15).  Each is evaluated once by
+    ``circuits.theta_rows``, on a batch's rows or on one point's floats, and
+    each cover adds its simplices left to right, so a sample gets the same
+    bits in any batch, as a point, from any evaluator and from
     ``cover_theta_sum``.
     """
 
     def __init__(self, cover_ids=range(1, 17)):
-        wanted = set(cover_ids)
-        self.covers = [cover for cover in all_covers() if cover.id in wanted]
-        if len(self.covers) != len(wanted):
-            raise ValueError(f"cover ids must be in 1..16, got {tuple(cover_ids)}")
+        wanted = set(map(cover_fixture, cover_ids))  # ValueError unless each id is an integer in 1..16
+        self.covers = [cover for cover in all_covers() if cover in wanted]
         self.cover_ids = tuple(cover.id for cover in self.covers)
         rows: dict = {}
         self._cover_rows = [operator.itemgetter(*(rows.setdefault(s, len(rows)) for s in cover.simplices))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuits import cover_theta_sum
 from .covers import cover_fixture
-from .geometry import A1, A2, A3, A4, A5, A6, B1, B2, HEXAGON_POSITIVE, I1, I2
+from .geometry import HEXAGON_POSITIVE
 
 
 class KappaVector(tuple):
@@ -152,19 +152,19 @@ def hex_coefficient_arrays(eta, a, b):
     K1, K2, K3, K4, k3, k6, k9, k12 = eta
     K1_2, K2_2, K3_2, k3_2, k6_2, k9_2, k12_2 = (x * x for x in (K1, K2, K3, k3, k6, k9, k12))
     K1_3, k6_3 = K1_2 * K1, k6_2 * k6
-    by_point = {
-        A1: K1_3 * K3_2 * k6_3 * k12_2,
-        A2: K1_2 * K2 * K3 * K4 * k3 * k6_2 * k9 * k12,
-        A3: K1 * K2_2 * K4 * k3_2 * k6 * k9_2,
-        A4: a * K2_2 * K4 * k3_2 * k9,
-        A5: a * K1 * K2 * K3 * k3 * k6 * k12,
-        A6: K1_2 * K3_2 * k6_3 * k12_2,
-        B1: K1_2 * K2 * K3_2 * k3 * k6_2 * k12_2,
-        B2: a * K2_2 * K3 * k3_2 * k12,
-        I1: 2 * K1_2 * K2 * K3 * k3 * k6_2 * k12_2,
-        I2: 2 * K1 * K2 * K3 * K4 * k3_2 * k6 * k9 * k12,
-    }
-    return np.array([by_point[p] for p in HEXAGON_POSITIVE]), b * K1 * K2 * K3 * k3 * k6 * k12
+    column = [
+        K1_3 * K3_2 * k6_3 * k12_2,  # a1
+        K1_2 * K2 * K3 * K4 * k3 * k6_2 * k9 * k12,  # a2
+        K1 * K2_2 * K4 * k3_2 * k6 * k9_2,  # a3
+        a * K2_2 * K4 * k3_2 * k9,  # a4
+        a * K1 * K2 * K3 * k3 * k6 * k12,  # a5
+        K1_2 * K3_2 * k6_3 * k12_2,  # a6
+        K1_2 * K2 * K3_2 * k3 * k6_2 * k12_2,  # b1
+        a * K2_2 * K3 * k3_2 * k12,  # b2
+        2 * K1_2 * K2 * K3 * k3 * k6_2 * k12_2,  # i1
+        2 * K1 * K2 * K3 * K4 * k3_2 * k6 * k9 * k12,  # i2
+    ]
+    return np.array(column), b * K1 * K2 * K3 * k3 * k6 * k12
 
 
 def negative_prefactor(eta: EtaPoint) -> float:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hexcover.circuits import CircuitSupport, circuit_number, cover_theta_sum, optimize_scalar_weight
+from hexcover.circuits import CircuitSupport, circuit_number, cover_theta_sum
 from hexcover.covers import census, cover_fixture, enumerate_pure_covers
 from hexcover.experiment import (
     CoverEvaluator,
@@ -60,7 +60,7 @@ def test_criterion_02_circuit_number_fixtures():
     start = time.perf_counter()
     tri = Simplex((LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)))
     theta = circuit_number(CircuitSupport(tri, M, {v: 1.0 for v in tri}))
-    w_opt, value = optimize_scalar_weight(cli.toy_split)
+    w_opt, value = cli.toy_optimum()
     elapsed = time.perf_counter() - start
     ok = (abs(theta - 3.0) <= 1e-12 and abs(w_opt - 0.5497) <= 1e-3
           and abs(value - 3.7996) <= 1e-3 and elapsed < 1.0)

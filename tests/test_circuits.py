@@ -2,10 +2,7 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +14,8 @@ from hexcover.circuits import (
     circuit_number,
     cover_theta_sum,
     is_nonnegative,
-    optimize_scalar_weight,
 )
-from hexcover.cli import toy_split
+from hexcover.cli import toy_optimum, toy_split
 from hexcover.covers import cover_fixture
 from hexcover.geometry import (
     HEXAGON_POSITIVE,
@@ -61,6 +57,8 @@ def test_not_a_circuit_error():
     s = Simplex((LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(0, 1)))
     with pytest.raises(NotACircuitError):
         circuit_number(unit_support(s))
+    with pytest.raises(NotACircuitError):
+        is_nonnegative(unit_support(s, c=-1.0))
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -83,6 +81,30 @@ def test_nonnegativity_threshold():
     assert not is_nonnegative(unit_support(TRIANGLE, c=-(3.0 + 1e-6)))
     # positive "negative" coefficient: trivially nonnegative
     assert is_nonnegative(unit_support(TRIANGLE, c=5.0))
+
+
+@pytest.mark.parametrize("simplex, tie", [
+    (TRIANGLE, 3.0),
+    (Simplex((LatticePoint(0, 0), LatticePoint(4, 2))), 2.0),  # the segment (a1, a4)
+])
+def test_nonnegativity_exact_at_the_tie(simplex, tie):
+    """Unit coefficients make Theta exactly ``tie``: c up to it is certified, one ulp above is not."""
+    below, above = math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)
+    assert is_nonnegative(unit_support(simplex, c=-below))
+    assert is_nonnegative(unit_support(simplex, c=-tie))
+    assert not is_nonnegative(unit_support(simplex, c=-above))
+    assert not is_nonnegative(unit_support(simplex, c=-(tie + 4e-15)))
+
+
+def test_nonnegativity_non_finite_and_huge():
+    assert not is_nonnegative(unit_support(TRIANGLE, c=math.nan))
+    assert not is_nonnegative(unit_support(TRIANGLE, c=-math.inf))
+    assert is_nonnegative(unit_support(TRIANGLE, c=math.inf))
+    assert is_nonnegative(CircuitSupport(TRIANGLE, M, dict(zip(TRIANGLE, (math.inf, 1.0, 1.0))), -1e300))
+    # Theta = 3e308 is beyond float64, but the exact verdict takes no exp and warns of no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_nonnegative(CircuitSupport(TRIANGLE, M, dict.fromkeys(TRIANGLE, 1e308), -1.7e308))
 
 
 def test_hexagon_circuit_closed_form():
@@ -138,28 +160,23 @@ def test_cover_theta_sum_rejects_nonpositive():
 
 
 def test_toy_weighted_optimum():
-    w_opt, value = optimize_scalar_weight(toy_split)
+    w_opt, value = toy_optimum()
     assert abs(w_opt - 0.5497) <= 1e-3
     assert abs(value - 3.7996) <= 1e-3
 
 
-def test_optimizer_constant_and_linear():
-    _, value = optimize_scalar_weight(lambda t: 7.0)
-    assert value == 7.0
-    w, value = optimize_scalar_weight(lambda t: (1 - t) * 10.0 + t * 8.0)
-    assert w == 0.0 and value == 10.0
+def test_toy_optimum_solves_the_first_order_condition():
+    """toy_split(w) = 3 w^(1/3) + 2 (1 - w)^(1/2), so its slope is w^(-2/3) - (1 - w)^(-1/2).
 
-
-def test_optimizer_returns_for_zero_and_negative_tol():
-    # below the float spacing the golden points stop moving; a subprocess turns a hang into a failure
-    code = ("from hexcover.circuits import optimize_scalar_weight\n"
-            "for tol in (0.0, -1.0):\n"
-            "    w, value = optimize_scalar_weight(lambda t: -(t - 0.3) ** 2, tol=tol)\n"
-            "    assert abs(w - 0.3) <= 1e-6 and value <= 0.0, (tol, w, value)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
+    The slope is 0 where (1 - w)^(1/2) = w^(2/3), that is where w^(4/3) + w = 1.
+    """
+    w_opt, value = toy_optimum()
+    root = 0.5
+    for _ in range(50):  # Newton on f(w) = w^(4/3) + w - 1, convex and increasing on (0, 1)
+        root -= (root ** (4 / 3) + root - 1.0) / (4 / 3 * root ** (1 / 3) + 1.0)
+    assert abs(w_opt - root) <= 1e-12
+    assert value == toy_split(w_opt)
+    assert all(value >= toy_split(k / 10_000) for k in range(10_001))
 
 
 # -------------------------------------------------------------- properties

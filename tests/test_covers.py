@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hexcover.covers import (
@@ -146,10 +147,10 @@ def test_fixture_file_matches_enumeration():
 
 
 def test_cover_fixture_rejects_bad_id():
-    with pytest.raises(ValueError):
-        cover_fixture(0)
-    with pytest.raises(ValueError):
-        cover_fixture(17)
+    for bad in (0, 17, 9.0, "9"):
+        with pytest.raises(ValueError):
+            cover_fixture(bad)
+    assert cover_fixture(np.int64(9)) is cover_fixture(9)
 
 
 def test_all_covers_ordered():

@@ -231,6 +231,13 @@ def test_histogram_statistics_match_per_sample_bits(small_run, small_masks):
                                              int((~mine & ~base).sum()))
 
 
+def test_baseline_id_must_be_an_integer(small_run):
+    """9.0 == 9 passes a membership test but cannot index the hit bits; numpy's integers can."""
+    with pytest.raises(ValueError, match="integer"):
+        compare_vs_baseline(small_run, 9.0)
+    assert compare_vs_baseline(small_run, np.int64(9)) == compare_vs_baseline(small_run, 9)
+
+
 def test_containment_allocates_nothing_per_sample(small_run):
     tracemalloc.start()
     try:
@@ -270,7 +277,7 @@ def test_subset_evaluator_rows_match_full_evaluator():
     full, subset = CoverEvaluator(), CoverEvaluator((4, 9, 15))
     assert (len(full._table), len(subset._table), len(CoverEvaluator((4, 9))._table)) == (21, 10, 8)
     assert subset.cover_ids == (4, 9, 15) and CoverEvaluator((15, 4, 9, 4)).cover_ids == (4, 9, 15)
-    for bad in ((0,), (4, 17)):
+    for bad in ((0,), (4, 17), (4.0,)):
         with pytest.raises(ValueError):
             CoverEvaluator(bad)
     (_, coeffs, _), = sample_case4(SamplePlan(target_case4_samples=5000, seed=8))
