@@ -35,7 +35,7 @@ print(f"certificate threshold -c_m = {neg_cm:.6g}\n")
 
 hits = []
 for cover in all_covers():
-    theta = cover_theta_sum(cover, coeffs)
+    theta = cover_theta_sum(cover.simplices, coeffs)
     verdict = "certified" if theta >= neg_cm else "-"
     hits.append(theta >= neg_cm)
     print(f"CC({cover.id:>2}): Theta sum = {theta:10.4f}  {verdict}")
@@ -48,4 +48,4 @@ print("\nclosed-form bounds (certificate holds iff -b <= bound):")
 for cid in (4, 9, 10, 12, 15):
     bound = closed_form_bound(cid, eta)
     print(f"  CC({cid:>2}): bound = {bound:10.4f}   Theta/prefactor = "
-          f"{cover_theta_sum(all_covers()[cid - 1], coeffs) / pref:10.4f}")
+          f"{cover_theta_sum(all_covers()[cid - 1].simplices, coeffs) / pref:10.4f}")

@@ -14,13 +14,7 @@ from .geometry import (
     barycentric_coordinates,
     contains_in_relative_interior,
 )
-from .circuits import (
-    CircuitSupport,
-    PureCover,
-    circuit_number,
-    cover_theta_sum,
-    is_nonnegative,
-)
+from .circuits import PureCover, cover_theta_sum, is_nonnegative
 from .covers import all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers, parse_cover
 from .model import (
     Case,

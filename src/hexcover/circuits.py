@@ -2,16 +2,19 @@
 
 A circuit polynomial has positive coefficients on the vertices of a simplex
 and one (sign-unrestricted) coefficient on a point in the simplex's relative
-interior.  Its circuit number Theta = prod_i (c_i / lambda_i)**lambda_i decides
-nonnegativity on the positive orthant: the polynomial is nonnegative iff
--c_beta <= Theta.
+interior.  Here that point is the hexagon's m: a circuit is a ``Simplex`` of
+hexagon points around m, with its coefficients in the (10,)
+``HEXAGON_POSITIVE`` column that ``hex_coefficients`` returns.  Its circuit
+number Theta = prod_i (c_i / lambda_i)**lambda_i decides nonnegativity on the
+positive orthant: the polynomial is nonnegative iff -c_m <= Theta.  A circuit
+is a cover of one simplex, so its Theta is ``cover_theta_sum((simplex,), coeffs)``.
 
 Theta has one expression: numpy's exp of ``theta_exponent``, const + sum_i
 lambda_i log c_i added left to right, with each simplex's lambdas and const
 compiled once.  A batch takes one exp per simplex row; a point
-(``cover_theta_sum``, ``circuit_number``) adds its exponents on Python floats
-and takes one exp over them.  All other operations are correctly rounded, so
-a point gets its sample's bits.
+(``cover_theta_sum``) adds its exponents on Python floats and takes one exp
+over them.  All other operations are correctly rounded, so a point gets its
+sample's bits.
 """
 
 from __future__ import annotations
@@ -20,48 +23,26 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import HEXAGON_POSITIVE, M, POINT_INDEX, LatticePoint, Simplex, barycentric_coordinates
+from .geometry import HEXAGON_POSITIVE, M, POINT_INDEX, Simplex, barycentric_coordinates
 
 
 class NotACircuitError(ValueError):
-    """Interior point is not strictly inside the simplex."""
-
-
-@dataclass(frozen=True)
-class CircuitSupport:
-    """Support and coefficients of a single circuit polynomial.
-
-    ``positive_coeffs`` maps each simplex vertex to its (positive) coefficient;
-    ``negative_coeff`` is the coefficient at the interior point, any sign.
-    """
-
-    simplex: Simplex
-    interior: LatticePoint
-    positive_coeffs: Mapping[LatticePoint, float]
-    negative_coeff: float = 0.0
-
-    def __post_init__(self):
-        if set(self.positive_coeffs) != set(self.simplex):
-            raise ValueError("positive_coeffs keys must be exactly the simplex vertices")
-        for v, c in self.positive_coeffs.items():
-            if not c > 0:
-                raise ValueError(f"coefficient at {v} must be positive, got {c}")
+    """m is not strictly inside the simplex."""
 
 
 @functools.cache
-def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[float, ...], float]:
-    """(float lambdas, const = -sum lambda_i log lambda_i) of ``interior`` in ``simplex``.
+def _compiled_simplex(simplex: Simplex) -> tuple[tuple[float, ...], float]:
+    """(float lambdas, const = -sum lambda_i log lambda_i) of m in ``simplex``.
 
-    Raises :class:`NotACircuitError` unless ``interior`` is relatively interior.
+    Raises :class:`NotACircuitError` unless m is relatively interior.
     """
-    lam = barycentric_coordinates(simplex, interior)
+    lam = barycentric_coordinates(simplex, M)
     if lam is None:
-        raise NotACircuitError(f"{interior} not in the relative interior of {simplex}")
+        raise NotACircuitError(f"{M} not in the relative interior of {simplex}")
     lams = tuple(map(float, lam))
     return lams, -sum(l * math.log(l) for l in lams)
 
@@ -70,7 +51,7 @@ def _compiled_simplex(simplex: Simplex, interior: LatticePoint) -> tuple[tuple[f
 def _simplex_table(simplices: tuple[Simplex, ...]) -> tuple:
     """(terms, const) per simplex around m; a term is (vertex's index in ``HEXAGON_POSITIVE``, lambda)."""
     return tuple((tuple(zip([POINT_INDEX[v] for v in s], lams)), const)
-                 for s in simplices for lams, const in [_compiled_simplex(s, M)])
+                 for s in simplices for lams, const in [_compiled_simplex(s)])
 
 
 def theta_exponent(terms, const, logs):
@@ -97,31 +78,6 @@ def theta_rows(table, log_coeffs) -> list:
     return [np.exp(theta_exponent(terms, const, log_coeffs)) for terms, const in table]
 
 
-def circuit_number(c: CircuitSupport) -> float:
-    """Theta = prod (c_i / lambda_i)**lambda_i, on a point's float path: ``theta_exponent``, one exp."""
-    lams, const = _compiled_simplex(c.simplex, c.interior)
-    logs = np.log([c.positive_coeffs[v] for v in c.simplex]).tolist()
-    return float(np.exp(theta_exponent(enumerate(lams), const, logs)))
-
-
-def is_nonnegative(c: CircuitSupport) -> bool:
-    """Nonnegativity on the positive orthant: -c_beta <= Theta, decided exactly; ties count as nonnegative.
-
-    With lambda_i = p_i/q, Theta**q = prod (c_i/lambda_i)**p_i is a rational
-    number in the coefficients' float values, so for -c_beta > 0 the test
-    compares (-c_beta)**q with it in Fractions, and no exp can overflow.
-    Non-finite values compare as floats against ``circuit_number``, so NaN
-    gives False.
-    """
-    lams = barycentric_coordinates(c.simplex, c.interior)
-    neg, values = -c.negative_coeff, [c.positive_coeffs[v] for v in c.simplex]
-    if lams is None or not all(map(math.isfinite, [neg, *values])):
-        return neg <= circuit_number(c)  # NotACircuitError when lams is None
-    q = math.lcm(*(lam.denominator for lam in lams))
-    theta_q = math.prod((Fraction(v) / lam) ** int(lam * q) for v, lam in zip(values, lams))
-    return neg <= 0 or Fraction(neg) ** q <= theta_q
-
-
 @dataclass(frozen=True)
 class PureCover:
     """A partition of the positive support points into simplices around ``m``."""
@@ -130,16 +86,41 @@ class PureCover:
     simplices: tuple[Simplex, ...]
 
 
-def cover_theta_sum(cover: PureCover, coeffs) -> float:
-    """Theta sum of a :class:`PureCover` around the hexagon's m.
-
-    ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column of ``hex_coefficient_arrays``;
-    ValueError unless it has that shape and all ten are positive.
-    ``theta_rows`` runs on the cover's cached table, as in ``CoverEvaluator``,
-    so the sum has the batch's bits; callers compare it to -c_m.
-    """
+def _coefficient_column(coeffs) -> np.ndarray:
+    """``coeffs`` as a float array; ValueError unless it is ten positive ``HEXAGON_POSITIVE`` coefficients."""
     column = np.asarray(coeffs, dtype=float)
     if column.shape != (len(HEXAGON_POSITIVE),) or not all(v > 0 for v in column.tolist()):
         raise ValueError(f"need ten positive coefficients, got {column}")
-    thetas = theta_rows(_simplex_table(cover.simplices), np.log(column))
+    return column
+
+
+def cover_theta_sum(simplices: tuple[Simplex, ...], coeffs) -> float:
+    """Theta sum of ``simplices`` around the hexagon's m, such as a cover's or one circuit's.
+
+    ``coeffs`` is the (10,) ``HEXAGON_POSITIVE`` column of ``hex_coefficient_arrays``;
+    ValueError unless it has that shape and all ten are positive.
+    ``theta_rows`` runs on the simplices' cached table, as in ``CoverEvaluator``,
+    so the sum has the batch's bits; callers compare it to -c_m.
+    """
+    thetas = theta_rows(_simplex_table(simplices), np.log(_coefficient_column(coeffs)))
     return functools.reduce(operator.add, thetas, 0.0)  # left to right, as the batch adds
+
+
+def is_nonnegative(simplex: Simplex, coeffs, c: float) -> bool:
+    """Nonnegativity of the circuit on ``simplex`` with m's coefficient ``c``: -c <= Theta, decided exactly.
+
+    ``coeffs`` is the (10,) column that ``cover_theta_sum`` takes; ties count
+    as nonnegative.  With lambda_i = p_i/q, Theta**q = prod (c_i/lambda_i)**p_i
+    is a rational number in the coefficients' float values, so for -c > 0 the
+    test compares (-c)**q with it in Fractions, and no exp can overflow.
+    Non-finite values compare as floats against the Theta of
+    ``cover_theta_sum``, so NaN gives False.
+    """
+    column = _coefficient_column(coeffs).tolist()
+    lams = barycentric_coordinates(simplex, M)
+    neg, values = -c, [column[POINT_INDEX[v]] for v in simplex]
+    if lams is None or not all(map(math.isfinite, [neg, *values])):
+        return neg <= cover_theta_sum((simplex,), coeffs)  # NotACircuitError when lams is None
+    q = math.lcm(*(lam.denominator for lam in lams))
+    theta_q = math.prod((Fraction(v) / lam) ** int(lam * q) for v, lam in zip(values, lams))
+    return neg <= 0 or Fraction(neg) ** q <= theta_q

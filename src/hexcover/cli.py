@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuits import CircuitSupport, circuit_number, cover_theta_sum
+from .circuits import cover_theta_sum
 from .covers import (all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers,
                      fixture_keys, is_hexagon, point_configuration)
 from .geometry import A1, A2, A4, A6, HEXAGON_POSITIVE, M, LatticePoint, Simplex, barycentric_coordinates
@@ -371,8 +371,10 @@ _TOY_TRIANGLE, _TOY_SEGMENT = Simplex((A4, A2, A6)), Simplex((A1, A4))
 
 
 def _toy_theta(simplex: Simplex, share: float) -> float:
-    """Theta of a toy circuit: unit coefficients, but ``share`` at a4."""
-    return circuit_number(CircuitSupport(simplex, M, {v: share if v == A4 else 1.0 for v in simplex}))
+    """Theta of a toy circuit: a column of ones, but ``share`` at a4."""
+    column = np.ones(len(HEXAGON_POSITIVE))
+    column[HEXAGON_POSITIVE.index(A4)] = share
+    return cover_theta_sum((simplex,), column)
 
 
 def toy_split(w: float) -> float:
@@ -434,7 +436,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
         pref = negative_prefactor(e)
         for cid in (4, 10, 12, 15):
             lhs = closed_form_bound(cid, e) * pref
-            rhs = cover_theta_sum(cover_fixture(cid), coeffs)
+            rhs = cover_theta_sum(cover_fixture(cid).simplices, coeffs)
             err = abs(lhs - rhs) / rhs
             worst = max(worst, err)
             ident_ok = ident_ok and err <= 1e-10

@@ -133,8 +133,9 @@ def cover_fixture(id: int) -> PureCover:
     """The labeled pure cover CC(id), id an integer (Python's or numpy's) in 1..16.
 
     A float id raises ValueError even when integral: 9.0 == 9, but it cannot index.
+    So does a bool, although Python counts True as the integer 1.
     """
-    if not isinstance(id, numbers.Integral) or id not in _fixture():
+    if not isinstance(id, numbers.Integral) or isinstance(id, bool) or id not in _fixture():
         raise ValueError(f"cover id must be an integer in 1..16, got {id!r}")
     return _fixture()[id][1]
 

@@ -242,6 +242,6 @@ def closed_form_bound(cover_id: int, eta: EtaPoint, theta_sum: float | None = No
         )
     if cover_id == 9:
         if theta_sum is None:
-            theta_sum = cover_theta_sum(cover_fixture(9), hex_coefficients(eta)[0])
+            theta_sum = cover_theta_sum(cover_fixture(9).simplices, hex_coefficients(eta)[0])
         return theta_sum / negative_prefactor(eta)
     raise ValueError(f"no closed-form bound for cover {cover_id}; supported: {CLOSED_FORM_IDS}")

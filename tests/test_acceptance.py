@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hexcover.circuits import CircuitSupport, circuit_number, cover_theta_sum
+from hexcover.circuits import cover_theta_sum
 from hexcover.covers import census, cover_fixture, enumerate_pure_covers
 from hexcover.experiment import (
     CoverEvaluator,
@@ -59,7 +59,7 @@ def test_criterion_01_cover_census():
 def test_criterion_02_circuit_number_fixtures():
     start = time.perf_counter()
     tri = Simplex((LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)))
-    theta = circuit_number(CircuitSupport(tri, M, {v: 1.0 for v in tri}))
+    theta = cover_theta_sum((tri,), np.ones(len(HEXAGON_POSITIVE)))
     w_opt, value = cli.toy_optimum()
     elapsed = time.perf_counter() - start
     ok = (abs(theta - 3.0) <= 1e-12 and abs(w_opt - 0.5497) <= 1e-3
@@ -76,7 +76,7 @@ def test_criterion_03_closed_form_identity():
             pref = negative_prefactor(eta)
             for cid in (4, 10, 12, 15):
                 lhs = closed_form_bound(cid, eta) * pref
-                rhs = cover_theta_sum(cover_fixture(cid), coeffs)
+                rhs = cover_theta_sum(cover_fixture(cid).simplices, coeffs)
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0

@@ -8,15 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hexcover.circuits import (
-    CircuitSupport,
-    NotACircuitError,
-    circuit_number,
-    cover_theta_sum,
-    is_nonnegative,
-)
+from hexcover.circuits import NotACircuitError, _simplex_table, cover_theta_sum, is_nonnegative, theta_rows
 from hexcover.cli import toy_optimum, toy_split
-from hexcover.covers import cover_fixture
+from hexcover.covers import all_covers, cover_fixture
 from hexcover.geometry import (
     HEXAGON_POSITIVE,
     M,
@@ -30,57 +24,61 @@ from hexcover.geometry import (
 
 TRIANGLE = Simplex((LatticePoint(4, 2), LatticePoint(2, 0), LatticePoint(0, 1)))
 SEGMENT = Simplex((LatticePoint(1, 0), LatticePoint(3, 2)))
+ONES = np.ones(len(HEXAGON_POSITIVE))  # the (10,) coefficient column of a unit circuit
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
 
-def unit_support(simplex, interior=M, c=0.0):
-    return CircuitSupport(simplex, interior, {v: 1.0 for v in simplex}, c)
+def column_on(simplex, values):
+    """``ONES`` with ``values`` on ``simplex``'s vertices, in vertex order."""
+    column = ONES.copy()
+    column[[POINT_INDEX[v] for v in simplex]] = values
+    return column
 
 
 def test_theta_equals_three():
-    assert abs(circuit_number(unit_support(TRIANGLE)) - 3.0) <= 1e-12
+    assert abs(cover_theta_sum((TRIANGLE,), ONES) - 3.0) <= 1e-12
 
 
 def test_segment_theta_equals_two():
-    assert abs(circuit_number(unit_support(SEGMENT)) - 2.0) <= 1e-12
+    assert abs(cover_theta_sum((SEGMENT,), ONES) - 2.0) <= 1e-12
 
 
 @given(positive, positive, positive)
 def test_triangle_theta_symbolic_form(a, b, c):
-    support = CircuitSupport(TRIANGLE, M, dict(zip(TRIANGLE, (a, b, c))))
     expected = 3.0 * (a * b * c) ** (1.0 / 3.0)
-    assert math.isclose(circuit_number(support), expected, rel_tol=1e-12)
+    assert math.isclose(cover_theta_sum((TRIANGLE,), column_on(TRIANGLE, (a, b, c))), expected,
+                        rel_tol=1e-12)
 
 
 def test_not_a_circuit_error():
     s = Simplex((LatticePoint(0, 0), LatticePoint(2, 0), LatticePoint(0, 1)))
     with pytest.raises(NotACircuitError):
-        circuit_number(unit_support(s))
+        cover_theta_sum((s,), ONES)
     with pytest.raises(NotACircuitError):
-        is_nonnegative(unit_support(s, c=-1.0))
+        is_nonnegative(s, ONES, -1.0)
 
 
 @pytest.mark.parametrize("coeffs", [
-    {LatticePoint(4, 2): 1.0, LatticePoint(2, 0): 1.0},  # a vertex missing
-    {LatticePoint(4, 2): 1.0, LatticePoint(2, 0): 1.0, LatticePoint(0, 1): 1.0, M: 1.0},  # not a vertex
+    np.ones(len(HEXAGON_POSITIVE) - 1),  # a hexagon point missing
+    np.ones(len(HEXAGON_POSITIVE) + 1),  # one point more, such as m
 ])
-def test_support_keys_must_be_the_simplex_vertices(coeffs):
-    with pytest.raises(ValueError, match="exactly the simplex vertices"):
-        CircuitSupport(TRIANGLE, M, coeffs)
+def test_circuit_column_must_hold_the_ten_coefficients(coeffs):
+    with pytest.raises(ValueError, match="ten positive coefficients"):
+        is_nonnegative(TRIANGLE, coeffs, -1.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
 def test_support_coefficients_must_be_positive(c):
-    with pytest.raises(ValueError, match="must be positive"):
-        CircuitSupport(TRIANGLE, M, dict(zip(TRIANGLE, (1.0, c, 1.0))))
+    with pytest.raises(ValueError, match="positive"):
+        is_nonnegative(TRIANGLE, column_on(TRIANGLE, (1.0, c, 1.0)), -1.0)
 
 
 def test_nonnegativity_threshold():
-    assert is_nonnegative(unit_support(TRIANGLE, c=-3.0))
-    assert not is_nonnegative(unit_support(TRIANGLE, c=-(3.0 + 1e-6)))
+    assert is_nonnegative(TRIANGLE, ONES, -3.0)
+    assert not is_nonnegative(TRIANGLE, ONES, -(3.0 + 1e-6))
     # positive "negative" coefficient: trivially nonnegative
-    assert is_nonnegative(unit_support(TRIANGLE, c=5.0))
+    assert is_nonnegative(TRIANGLE, ONES, 5.0)
 
 
 @pytest.mark.parametrize("simplex, tie", [
@@ -90,21 +88,21 @@ def test_nonnegativity_threshold():
 def test_nonnegativity_exact_at_the_tie(simplex, tie):
     """Unit coefficients make Theta exactly ``tie``: c up to it is certified, one ulp above is not."""
     below, above = math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)
-    assert is_nonnegative(unit_support(simplex, c=-below))
-    assert is_nonnegative(unit_support(simplex, c=-tie))
-    assert not is_nonnegative(unit_support(simplex, c=-above))
-    assert not is_nonnegative(unit_support(simplex, c=-(tie + 4e-15)))
+    assert is_nonnegative(simplex, ONES, -below)
+    assert is_nonnegative(simplex, ONES, -tie)
+    assert not is_nonnegative(simplex, ONES, -above)
+    assert not is_nonnegative(simplex, ONES, -(tie + 4e-15))
 
 
 def test_nonnegativity_non_finite_and_huge():
-    assert not is_nonnegative(unit_support(TRIANGLE, c=math.nan))
-    assert not is_nonnegative(unit_support(TRIANGLE, c=-math.inf))
-    assert is_nonnegative(unit_support(TRIANGLE, c=math.inf))
-    assert is_nonnegative(CircuitSupport(TRIANGLE, M, dict(zip(TRIANGLE, (math.inf, 1.0, 1.0))), -1e300))
+    assert not is_nonnegative(TRIANGLE, ONES, math.nan)
+    assert not is_nonnegative(TRIANGLE, ONES, -math.inf)
+    assert is_nonnegative(TRIANGLE, ONES, math.inf)
+    assert is_nonnegative(TRIANGLE, column_on(TRIANGLE, (math.inf, 1.0, 1.0)), -1e300)
     # Theta = 3e308 is beyond float64, but the exact verdict takes no exp and warns of no overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert is_nonnegative(CircuitSupport(TRIANGLE, M, dict.fromkeys(TRIANGLE, 1e308), -1.7e308))
+        assert is_nonnegative(TRIANGLE, column_on(TRIANGLE, (1e308,) * 3), -1.7e308)
 
 
 def test_hexagon_circuit_closed_form():
@@ -118,10 +116,9 @@ def test_hexagon_circuit_closed_form():
         coeffs, c_m = hex_coefficients(eta)
         a, b = ab_values(eta)
         P = negative_prefactor(eta)
-        support = CircuitSupport(tri, M, {v: coeffs[POINT_INDEX[v]] for v in tri}, c_m)
         rhs = 3.0 * P * (eta.K1 * eta.K4**2 * eta.k6**2 * eta.k9**2 * a) ** (1 / 3)
-        assert math.isclose(circuit_number(support), rhs, rel_tol=1e-12)
-        assert is_nonnegative(support) == (-b * P <= rhs)
+        assert math.isclose(cover_theta_sum((tri,), coeffs), rhs, rel_tol=1e-12)
+        assert is_nonnegative(tri, coeffs, c_m) == (-b * P <= rhs)
 
 
 def test_cover_theta_sum_all_ones():
@@ -131,17 +128,17 @@ def test_cover_theta_sum_all_ones():
         lam = barycentric_coordinates(s, M)
         assert set(lam) == {type(lam[0])(1, 2)}
     ones = np.ones(len(HEXAGON_POSITIVE))
-    assert math.isclose(cover_theta_sum(midpoint_cover, ones), 10.0, rel_tol=1e-12)
+    assert math.isclose(cover_theta_sum(midpoint_cover.simplices, ones), 10.0, rel_tol=1e-12)
     # the barycentric two-triangle cover: 3 + 3 + 2 + 2 = 10
-    assert math.isclose(cover_theta_sum(cover_fixture(9), ones), 10.0, rel_tol=1e-12)
+    assert math.isclose(cover_theta_sum(cover_fixture(9).simplices, ones), 10.0, rel_tol=1e-12)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_cover_theta_sum_homogeneous(t):
     ones = np.ones(len(HEXAGON_POSITIVE))
     scaled = np.full(len(HEXAGON_POSITIVE), t)
-    base = cover_theta_sum(cover_fixture(9), ones)
-    assert math.isclose(cover_theta_sum(cover_fixture(9), scaled), t * base, rel_tol=1e-12)
+    base = cover_theta_sum(cover_fixture(9).simplices, ones)
+    assert math.isclose(cover_theta_sum(cover_fixture(9).simplices, scaled), t * base, rel_tol=1e-12)
 
 
 def test_cover_theta_sum_rejects_nonpositive():
@@ -153,7 +150,7 @@ def test_cover_theta_sum_rejects_nonpositive():
     for bad in (column_with(0.0), column_with(-1.0), column_with(math.nan), np.ones(9),
                 np.ones((len(HEXAGON_POSITIVE), 1))):
         with pytest.raises(ValueError):
-            cover_theta_sum(cover_fixture(9), bad)
+            cover_theta_sum(cover_fixture(9).simplices, bad)
 
 
 # ------------------------------------------------------- toy weighted split
@@ -179,32 +176,51 @@ def test_toy_optimum_solves_the_first_order_condition():
     assert all(value >= toy_split(k / 10_000) for k in range(10_001))
 
 
+# ------------------------------------------------------------- pinned bits
+
+
+def test_toy_optimum_bits():
+    assert toy_optimum() == (0.5497004779019701, 3.7996047535960713)
+
+
+def test_unit_triangle_and_segment_bits():
+    """float64 puts the unit triangle's exact 3 one ulp low; the (b1, b2) segment at (4, 9) gives 12."""
+    assert cover_theta_sum((TRIANGLE,), ONES) == 2.9999999999999996
+    assert cover_theta_sum((SEGMENT,), column_on(SEGMENT, (4.0, 9.0))) == 12.0
+
+
+def test_point_theta_matches_batch_column_bits():
+    """One simplex's Theta from a (10,) column has the bits of its (10, k) batch column."""
+    simplices = tuple(dict.fromkeys(s for cover in all_covers() for s in cover.simplices))
+    batch = np.exp(np.random.default_rng(21).uniform(-20.0, 20.0, (len(HEXAGON_POSITIVE), 64)))
+    rows = theta_rows(_simplex_table(simplices), np.log(batch))
+    for s, row in zip(simplices, rows):
+        for j, theta in enumerate(row.tolist()):
+            assert cover_theta_sum((s,), batch[:, j]) == theta
+
+
 # -------------------------------------------------------------- properties
 
 
 @given(st.permutations(range(3)), positive, positive, positive)
 def test_circuit_number_permutation_invariant(perm, a, b, c):
-    coeffs = dict(zip(TRIANGLE, (a, b, c)))
-    base = circuit_number(CircuitSupport(TRIANGLE, M, coeffs))
+    coeffs = column_on(TRIANGLE, (a, b, c))
+    base = cover_theta_sum((TRIANGLE,), coeffs)
     shuffled = Simplex(TRIANGLE[i] for i in perm)
-    assert math.isclose(circuit_number(CircuitSupport(shuffled, M, coeffs)), base,
-                        rel_tol=1e-12)
+    assert math.isclose(cover_theta_sum((shuffled,), coeffs), base, rel_tol=1e-12)
 
 
 @given(positive, positive, positive, st.sampled_from([0.5, 2.0, 10.0]))
 def test_coefficient_homogeneity(a, b, c, k):
-    coeffs = dict(zip(TRIANGLE, (a, b, c)))
-    scaled = {v: k * x for v, x in coeffs.items()}
-    assert math.isclose(
-        circuit_number(CircuitSupport(TRIANGLE, M, scaled)),
-        k * circuit_number(CircuitSupport(TRIANGLE, M, coeffs)),
-        rel_tol=1e-12)
+    coeffs = column_on(TRIANGLE, (a, b, c))
+    assert math.isclose(cover_theta_sum((TRIANGLE,), k * coeffs),
+                        k * cover_theta_sum((TRIANGLE,), coeffs), rel_tol=1e-12)
 
 
 @given(positive, positive)
 def test_amgm_segment(a, b):
     seg = Simplex((LatticePoint(1, 0), LatticePoint(3, 2)))
-    theta = circuit_number(CircuitSupport(seg, M, dict(zip(seg, (a, b)))))
+    theta = cover_theta_sum((seg,), column_on(seg, (a, b)))
     assert math.isclose(theta, 2.0 * math.sqrt(a * b), rel_tol=1e-12)
     assert theta <= a + b + 1e-12 * (a + b)
 
@@ -225,16 +241,16 @@ def test_soundness_on_random_circuits(rng):
     certified = 0
     for _ in range(1000):
         s = simplices[rng.integers(len(simplices))]
-        coeffs = {v: float(c) for v, c in zip(s, rng.uniform(1e-6, 10.0, len(s)))}
-        theta = circuit_number(CircuitSupport(s, M, coeffs))
+        values = rng.uniform(1e-6, 10.0, len(s))
+        coeffs = column_on(s, values)
+        theta = cover_theta_sum((s,), coeffs)
         c_m = -float(rng.uniform(0.0, 1.5)) * theta
-        support = CircuitSupport(s, M, coeffs, c_m)
-        if not is_nonnegative(support):
+        if not is_nonnegative(s, coeffs, c_m):
             continue
         certified += 1
         value = c_m * x1**M.x * x3**M.z
         scale = np.abs(value)
-        for v, c in coeffs.items():
+        for v, c in zip(s, values.tolist()):
             term = c * x1**v.x * x3**v.z
             value = value + term
             scale = np.maximum(scale, term)

@@ -15,6 +15,7 @@ import pytest
 
 from hexcover import experiment
 from hexcover.circuits import cover_theta_sum
+from hexcover.covers import cover_fixture
 from hexcover.experiment import (
     BOX_RANGE,
     MAX_SWEEP_STEPS,
@@ -212,7 +213,7 @@ def test_theta_sums_batch_of_one_matches_block():
     # the scalar definition stays the reference; only log/exp rounding may differ
     for j in range(0, 6000, 60):
         for cover, theta in zip(evaluator.covers, block[:, j]):
-            assert math.isclose(theta, cover_theta_sum(cover, coeffs[:, j]), rel_tol=1e-12)
+            assert math.isclose(theta, cover_theta_sum(cover.simplices, coeffs[:, j]), rel_tol=1e-12)
 
 
 def test_histogram_statistics_match_per_sample_bits(small_run, small_masks):
@@ -232,10 +233,18 @@ def test_histogram_statistics_match_per_sample_bits(small_run, small_masks):
 
 
 def test_baseline_id_must_be_an_integer(small_run):
-    """9.0 == 9 passes a membership test but cannot index the hit bits; numpy's integers can."""
+    """9.0 == 9 passes a membership test but cannot index the hit bits; numpy's integers can.
+
+    True == 1 is an Integral, but a bool is not a cover id.
+    """
     with pytest.raises(ValueError, match="integer"):
         compare_vs_baseline(small_run, 9.0)
     assert compare_vs_baseline(small_run, np.int64(9)) == compare_vs_baseline(small_run, 9)
+    for ids in ([True, 9], [9, False]):
+        with pytest.raises(ValueError, match="integer"):
+            CoverEvaluator(ids)
+    with pytest.raises(ValueError, match="integer"):
+        cover_fixture(True)
 
 
 def test_containment_allocates_nothing_per_sample(small_run):
@@ -404,6 +413,12 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads minor page faults from getrusage")
 def test_serial_run_reuses_its_pages():
+    # The count stays low only because each block task frees its (16, k) Theta matrix,
+    # about 922 KB.  glibc serves it by mmap, and freeing it raises the mmap threshold and
+    # the heap's trim threshold (to twice that size), so later blocks reuse the heap rather
+    # than trim it and fault it back in.  With a 4 MB array freed once before the first run,
+    # the second reads under 20 faults.  A block task that allocates less trims more (8k to
+    # 24k faults), so keep this bound when memory work changes the block task's arrays.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", SECOND_RUN_FAULTS], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
@@ -635,7 +650,9 @@ def test_plan_validation():
         SamplePlan(box_size=0.0)
     for bad in ({"box_size": math.nan}, {"box_size": math.inf}, {"seed": -1}, {"seed": 2**64},
                 {"seed": 42.9}, {"seed": 42.0}, {"seed": "42"}, {"target_case4_samples": 2000.5},
-                {"target_case4_samples": 1e6}, {"threads": 1.5}, {"threads": 2.0}):
+                {"target_case4_samples": 1e6}, {"threads": 1.5}, {"threads": 2.0},
+                {"box_size": True}, {"box_size": np.True_}, {"target_case4_samples": True},
+                {"seed": False}, {"seed": True}, {"threads": True}):
         with pytest.raises(ValueError):
             SamplePlan(**bad)
     # numpy integers are integers; validation only, no plan here is run

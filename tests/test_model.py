@@ -273,7 +273,7 @@ def test_closed_form_matches_theta_sum():
             pref = negative_prefactor(eta)
             for cid in (4, 10, 12, 15):
                 lhs = closed_form_bound(cid, eta) * pref
-                rhs = cover_theta_sum(cover_fixture(cid), coeffs)
+                rhs = cover_theta_sum(cover_fixture(cid).simplices, coeffs)
                 assert math.isclose(lhs, rhs, rel_tol=1e-10), (cid, box)
 
 
@@ -288,7 +288,7 @@ def test_closed_form_swap_identity():
 def test_closed_form_9_is_generic_path():
     eta = case4_eta_points(1, seed=19)[0]
     coeffs, _ = hex_coefficients(eta)
-    expected = cover_theta_sum(cover_fixture(9), coeffs) / negative_prefactor(eta)
+    expected = cover_theta_sum(cover_fixture(9).simplices, coeffs) / negative_prefactor(eta)
     assert math.isclose(closed_form_bound(9, eta), expected, rel_tol=1e-12)
 
 
@@ -334,7 +334,7 @@ def test_scalar_c_m_matches_batch_bits():
         column, point_c_m = hex_coefficients(point)
         scalar_coeffs.append(column)
         scalar_c_m.append(point_c_m)
-        scalar_thetas.append([cover_theta_sum(cover, column) for cover in evaluator.covers])
+        scalar_thetas.append([cover_theta_sum(cover.simplices, column) for cover in evaluator.covers])
         bound9.append(closed_form_bound(9, point))
         prefactor.append(negative_prefactor(point))
     assert np.array_equal(np.array(scalar_coeffs).T, coeffs)
