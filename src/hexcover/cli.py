@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuits import cover_theta_sum
+from .circuits import _compiled_simplex, cover_theta_sum
 from .covers import (all_covers, canonical_key, census, cover_fixture, enumerate_pure_covers,
                      fixture_keys, is_hexagon, point_configuration)
-from .geometry import A1, A2, A4, A6, HEXAGON_POSITIVE, M, LatticePoint, Simplex, barycentric_coordinates
+from .geometry import A1, A2, A4, A6, HEXAGON_POSITIVE, M, LatticePoint, Simplex
 from .model import (
     CLOSED_FORM_IDS,
     Case,
@@ -401,8 +401,7 @@ def toy_optimum() -> tuple[float, float]:
     lambdas 1/3 and 1/2: strictly decreasing, from +inf at 0 to -inf at 1.
     Bisection on its sign runs until lo and hi are adjacent floats.
     """
-    lam_tri, lam_seg = (float(barycentric_coordinates(s, M)[s.index(A4)])
-                        for s in (_TOY_TRIANGLE, _TOY_SEGMENT))
+    (_, lam_tri), (_, lam_seg) = (_compiled_simplex(s)[0][s.index(A4)] for s in (_TOY_TRIANGLE, _TOY_SEGMENT))
     lo, hi = 0.0, 1.0
     while (w := 0.5 * (lo + hi)) not in (lo, hi):
         slope = (lam_tri * _toy_theta(_TOY_TRIANGLE, w) / w

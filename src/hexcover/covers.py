@@ -142,7 +142,7 @@ def cover_fixture(id: int) -> PureCover:
 
 def all_covers() -> list[PureCover]:
     """The 16 labeled hexagon covers, ordered by id, as a fresh list."""
-    return [cover_fixture(i) for i in range(1, 17)]
+    return [cover for _, (_, cover) in sorted(_fixture().items())]
 
 
 _SPECIAL_TRIANGLES = (

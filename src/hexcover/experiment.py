@@ -35,7 +35,7 @@ from numpy.random import Generator, Philox
 
 from .covers import all_covers, cover_fixture
 from .model import EtaPoint, a_value, b_value, hex_coefficient_arrays, is_case4, michaelis_constant
-from .circuits import _simplex_table, theta_rows
+from .circuits import _compiled_simplex, theta_rows
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
 TILE = 1 << 12  # columns per tile of an inline block: its (5, TILE) float64 draw buffer is 160 KB
@@ -128,12 +128,12 @@ class CoverEvaluator:
     ``cover_ids`` picks the covers, all 16 by default, each an id that
     ``covers.cover_fixture`` accepts; ``self.cover_ids`` holds them in id
     order without repeats.  The 16 covers use 66 simplex blocks but only 21
-    distinct simplices, and an evaluator compiles only those of its own
-    covers (10 for covers 4, 9 and 15).  Each is evaluated once by
-    ``circuits.theta_rows``, on a batch's rows or on one point's floats, and
-    each cover adds its simplices left to right, so a sample gets the same
-    bits in any batch, as a point, from any evaluator and from
-    ``cover_theta_sum``.
+    distinct simplices, and an evaluator keeps the ``_compiled_simplex``
+    records of its own covers' (10 for covers 4, 9 and 15).  Each is
+    evaluated once by ``circuits.theta_rows``, on a batch's rows or on one
+    point's floats, and each cover adds its simplices left to right, so a
+    sample gets the same bits in any batch, as a point, from any evaluator
+    and from ``cover_theta_sum``.
     """
 
     def __init__(self, cover_ids=range(1, 17)):
@@ -143,7 +143,7 @@ class CoverEvaluator:
         rows: dict = {}
         self._cover_rows = [operator.itemgetter(*(rows.setdefault(s, len(rows)) for s in cover.simplices))
                             for cover in self.covers]  # every cover has at least 4 simplices
-        self._table = _simplex_table(tuple(rows))
+        self._table = [*map(_compiled_simplex, rows)]  # looked up once, not on every call
 
     def theta_sums(self, log_coeffs: np.ndarray) -> np.ndarray:
         """(covers, k) Theta sums from a (10, k) array of log coefficients; a (10,) column gives (covers,)."""
@@ -409,15 +409,15 @@ class ContainmentReport:
 
 
 def check_containment_threshold(threshold: int) -> None:
-    """ValueError for a threshold below 0, which no |A\\B| count can meet."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    """ValueError unless ``threshold`` is an integer >= 0, Python's or numpy's but not a bool."""
+    if not isinstance(threshold, numbers.Integral) or isinstance(threshold, bool) or threshold < 0:
+        raise ValueError(f"threshold must be an integer >= 0, got {threshold!r}")
 
 
 def containment_analysis(matrix: CoverHitMatrix, threshold: int = 0) -> ContainmentReport:
     """|A\\B| counts, containment edges, uniqueness, and the Hasse reduction.
 
-    ValueError unless the run evaluated all 16 covers and ``threshold`` >= 0.
+    ValueError unless the run evaluated all 16 covers and ``threshold`` is an integer >= 0.
     """
     _require_all_covers(matrix)
     check_containment_threshold(threshold)

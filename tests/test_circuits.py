@@ -3,15 +3,20 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hexcover.circuits import NotACircuitError, _simplex_table, cover_theta_sum, is_nonnegative, theta_rows
+from hexcover.circuits import NotACircuitError, _compiled_simplex, cover_theta_sum, is_nonnegative, theta_rows
 from hexcover.cli import toy_optimum, toy_split
 from hexcover.covers import all_covers, cover_fixture
 from hexcover.geometry import (
+    A1,
+    A2,
+    A4,
+    A6,
     HEXAGON_POSITIVE,
     M,
     POINT_INDEX,
@@ -103,6 +108,47 @@ def test_nonnegativity_non_finite_and_huge():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_nonnegative(TRIANGLE, column_on(TRIANGLE, (1e308,) * 3), -1.7e308)
+        # the same Theta is finite, so c = -inf is not certified; +inf is, and NaN is not
+        assert not is_nonnegative(TRIANGLE, column_on(TRIANGLE, (1e308,) * 3), -math.inf)
+        assert is_nonnegative(TRIANGLE, column_on(TRIANGLE, (1e308,) * 3), math.inf)
+        assert not is_nonnegative(TRIANGLE, column_on(TRIANGLE, (1e308,) * 3), math.nan)
+
+
+COVER_SIMPLICES = tuple(dict.fromkeys(s for cover in all_covers() for s in cover.simplices))
+TOY_TRIANGLE, TOY_SEGMENT = Simplex((A4, A2, A6)), Simplex((A1, A4))
+
+
+@pytest.mark.parametrize("simplex", [*COVER_SIMPLICES, TOY_TRIANGLE, TOY_SEGMENT],
+                         ids=lambda s: "-".join(str(POINT_INDEX[v]) for v in s))
+def test_compiled_record_holds_exact_and_float_lambdas(simplex):
+    """p_i/q are the exact barycentrics of m; the float lambdas and const keep their bits."""
+    record, lam = _compiled_simplex(simplex), barycentric_coordinates(simplex, M)
+    terms, const, powers, q = record
+    assert tuple(Fraction(p, q) for p in powers) == lam
+    assert q == math.lcm(*(l.denominator for l in lam))
+    floats = tuple(map(float, lam))
+    assert terms == tuple(zip([POINT_INDEX[v] for v in simplex], floats))
+    assert const == -sum(l * math.log(l) for l in floats)
+    assert _compiled_simplex(simplex) is record
+
+
+def test_cover_theta_sum_takes_any_iterable_of_simplices():
+    column = np.exp(np.random.default_rng(5).uniform(-5.0, 5.0, len(HEXAGON_POSITIVE)))
+    cover = cover_fixture(9).simplices
+    assert cover_theta_sum(list(cover), column) == cover_theta_sum(cover, column)
+    assert cover_theta_sum(iter(cover), column) == cover_theta_sum(cover, column)
+    assert len(COVER_SIMPLICES) == 21
+    for s in COVER_SIMPLICES:
+        assert cover_theta_sum([s], column) == cover_theta_sum((s,), column)
+
+
+def test_a_simplex_where_simplices_are_due_is_a_type_error():
+    with pytest.raises(TypeError, match=r"LatticePoint\(x=4, z=2\)"):
+        cover_theta_sum(TRIANGLE, ONES)
+    with pytest.raises(TypeError, match="Simplex"):
+        cover_theta_sum([tuple(TRIANGLE)], ONES)  # equal to TRIANGLE, but not a Simplex
+    with pytest.raises(TypeError):
+        is_nonnegative(tuple(TRIANGLE), ONES, -1.0)
 
 
 def test_hexagon_circuit_closed_form():
@@ -191,10 +237,9 @@ def test_unit_triangle_and_segment_bits():
 
 def test_point_theta_matches_batch_column_bits():
     """One simplex's Theta from a (10,) column has the bits of its (10, k) batch column."""
-    simplices = tuple(dict.fromkeys(s for cover in all_covers() for s in cover.simplices))
     batch = np.exp(np.random.default_rng(21).uniform(-20.0, 20.0, (len(HEXAGON_POSITIVE), 64)))
-    rows = theta_rows(_simplex_table(simplices), np.log(batch))
-    for s, row in zip(simplices, rows):
+    rows = theta_rows([*map(_compiled_simplex, COVER_SIMPLICES)], np.log(batch))
+    for s, row in zip(COVER_SIMPLICES, rows):
         for j, theta in enumerate(row.tolist()):
             assert cover_theta_sum((s,), batch[:, j]) == theta
 

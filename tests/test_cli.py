@@ -170,6 +170,19 @@ def test_case4_certify_computes_coefficients_and_each_simplex_theta_once(monkeyp
     assert err == "" and calls == {"hex_coefficient_arrays": 1, "log": 1, "exp": 1}
 
 
+def test_certify_labels_come_from_the_parsed_fixture(monkeypatch, capsys):
+    """After a first call, ``certify`` lists the covers without a ``cover_fixture`` lookup per id."""
+    from hexcover import covers
+
+    argv = ("--eta", "5,1,1,5,2,1,1,1")
+    run(capsys, "certify", *argv)
+    ids, lookup = [], covers.cover_fixture
+    monkeypatch.setattr(covers, "cover_fixture", lambda id: ids.append(id) or lookup(id))
+    code, out, _ = run(capsys, "certify", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CERTIFY_OUTPUT[argv]
+    assert ids == []
+
+
 def test_one_float64_check_rejects_in_block_tasks_and_certify(monkeypatch, capsys):
     import hexcover.cli as cli
 

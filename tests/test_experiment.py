@@ -330,8 +330,11 @@ def test_reports_need_all_covers(subset_run, small_run):
         compare_vs_baseline(subset_run, baseline=9)
     with pytest.raises(ValueError):
         containment_analysis(subset_run)
-    with pytest.raises(ValueError):
-        containment_analysis(small_run, threshold=-1)
+    for bad in (-1, True, False, np.bool_(True), 0.5, 2.0, "1"):
+        with pytest.raises(ValueError):
+            containment_analysis(small_run, threshold=bad)
+    numpy_int = containment_analysis(small_run, threshold=np.int64(3))
+    assert numpy_int.edges == containment_analysis(small_run, threshold=3).edges
 
 
 def _kept_bytes(plan, keep_theta):
