@@ -46,7 +46,6 @@ from .experiment import (
     CoverEvaluator,
     SamplePlan,
     case4_eta_points,
-    case4_thetas,
     check_containment_threshold,
     compare_vs_baseline,
     containment_analysis,
@@ -213,8 +212,9 @@ def _check_certify(args) -> None:
     The coefficients come from the Monte-Carlo kernel on the point's 8
     floats, so a point gets the bits of its hit masks, as its (10,) column.
     a, b, the ten coefficients and c_m must be finite.  In case 4 the column
-    also passes ``case4_thetas``, the block task's check (no coefficient or
-    c_m is 0), which gives each cover's Theta sum once; cover 9's bound
+    goes through ``CoverEvaluator.hit_masks``, the block task's one check (no
+    coefficient or c_m is 0) and verdict, which gives the point's hit mask
+    over covers 1..16 and each cover's Theta sum once; cover 9's bound
     reuses its sum, and every bound must be finite.
     """
     given = [flag for flag in _CERTIFY_COUNTS if getattr(args, flag) is not None]
@@ -235,14 +235,14 @@ def _check_certify(args) -> None:
         return
     try:  # a Python float power in a bound raises
         with np.errstate(all="ignore"):  # a Theta sum beyond float64 prints as inf
-            thetas, neg_cm = case4_thetas(_cover_evaluator(), coeffs, c_m)  # covers 1..16
+            mask, thetas, neg_cm = _cover_evaluator().hit_masks(coeffs, c_m)  # covers 1..16
         thetas = thetas.tolist()
         bounds = [closed_form_bound(cid, eta, thetas[cid - 1]) for cid in CLOSED_FORM_IDS]
     except ArithmeticError as exc:
         raise ValueError(f"a value is beyond float64: {exc}") from None
     if not all(map(math.isfinite, bounds)):
         raise ValueError("a closed-form bound is not finite in float64")
-    args.thetas, args.neg_cm, args.bounds = thetas, neg_cm, bounds
+    args.mask, args.thetas, args.neg_cm, args.bounds = int(mask), thetas, neg_cm, bounds
 
 
 def cmd_certify(args) -> int:
@@ -255,14 +255,14 @@ def cmd_certify(args) -> int:
     elif sc.tag is Case.CASE3_A_ZERO_B_NEG:
         verdict, code = "undetermined here (boundary case a = 0)", EXIT_UNDETERMINED
     else:
-        hits, neg_cm = [theta >= args.neg_cm for theta in args.thetas], f"{args.neg_cm:.6g}"
+        neg_cm = f"{args.neg_cm:.6g}"
         lines += [f"CC({cover.id}): theta_sum={theta:.6g}  -c_m={neg_cm}  "
-                  f"{'CERTIFIED' if hit else 'not certified'}"
-                  for cover, theta, hit in zip(all_covers(), args.thetas, hits)]
-        lines.append(f"union: {'CERTIFIED' if any(hits) else 'not certified'}")
+                  f"{'CERTIFIED' if args.mask >> bit & 1 else 'not certified'}"
+                  for bit, (cover, theta) in enumerate(zip(all_covers(), args.thetas))]
+        lines.append(f"union: {'CERTIFIED' if args.mask else 'not certified'}")
         lines += [f"bound CC({cid}): {bound:.6g}  -b={-sc.b_value:.6g}"
                   for cid, bound in zip(CLOSED_FORM_IDS, args.bounds)]
-        verdict, code = (("monostationary (certified by circuit cover)", EXIT_OK) if any(hits) else
+        verdict, code = (("monostationary (certified by circuit cover)", EXIT_OK) if args.mask else
                          ("undetermined (no cover certificate at this point)", EXIT_UNDETERMINED))
     sys.stdout.write("\n".join([*lines, f"verdict: {verdict}"]) + "\n")
     return code

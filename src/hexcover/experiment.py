@@ -1,21 +1,21 @@
 """Seeded Monte-Carlo comparison of the 16 pure covers.
 
 Rate constants are drawn uniformly from (0, N]^12, reduced to eta, and kept
-only in case 4 (a > 0, b < 0).  ``case4_thetas``, which ``certify`` also runs,
-checks each sample in float64 and gives its certificate Theta-sum >= -c_m for
-every cover the run evaluates, hence a hit mask with one bit per cover: all
-16 for the tables, only the swept 2 or 3 for a homotopy.  The scalar API runs
-the same coefficient and Theta kernels on a batch of one, so a single point
-gets its sample's bits.  Ratios, the baseline comparison and the containment
-poset depend only on how often each mask occurs, so a run keeps only the
-histogram of the masks; homotopies keep Theta sums only of samples a sweep
-can flip.
+only in case 4 (a > 0, b < 0).  ``CoverEvaluator.hit_masks``, which
+``certify`` also runs, checks each sample in float64 and decides Theta-sum
+>= -c_m for every cover the run evaluates: a hit mask with one bit per
+cover, all 16 for the tables, only the swept 2 or 3 for a homotopy.  A
+point runs the same kernels as a batch of one, so it gets its sample's
+bits.  Ratios, the baseline comparison and the containment poset depend
+only on how often each mask occurs, so a run keeps only the histogram of
+the masks; homotopies keep Theta sums only of samples a sweep can flip.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block
-index) over fixed-size raw blocks.  A raw block is the unit of work: a
-*block task* draws it and runs every per-sample step on it, and one runner
-yields the tasks' results in counter order and truncates only the last, so
-parallel and serial runs emit the same sample sequence bit for bit.
+index) over fixed-size raw blocks.  A raw block is the unit of work: one
+runner, ``_accepted_blocks``, draws it, a *block task* runs every
+per-sample step on its samples, and the runner yields the results in
+counter order, truncating only the last, so parallel and serial runs emit
+the same sample sequence bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class SamplePlan:
     or numpy's; any other type, a bool included, raises ValueError, and so
     does a bool ``box_size``.  ``threads`` (1 to ``MAX_THREADS``) sets how
     many worker threads draw blocks; it never changes the sample stream,
-    which depends only on the seed and the box size.  It sets ``tile``.
+    which depends only on the seed and the box size.
 
     ``box_size`` N must lie in ``BOX_RANGE`` = [2^-99, 2^150].  There no draw
     can push a, b, a coefficient or c_m, nor any left-to-right product that
@@ -105,51 +105,52 @@ class SamplePlan:
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {self.threads}")
 
-    @property
-    def tile(self) -> int:
-        """The width each block is drawn and classified in.
-
-        ``TILE`` columns when the blocks run inline, so the (5, tile) draw
-        buffer and its temporaries stay in cache; the whole block on a pool,
-        where narrow tiles multiply the GIL hand-offs between the workers.
-        Every kappa row has its own generator, so the width changes no bit.
-        One width for both lost where it was measured (2-core VM): at
-        n = 10^6 on two threads, 16,384-column tiles took 1.20-1.34 s against
-        0.94-1.07 s for whole blocks, with twice the context switches (11-13k
-        against 5-6k), and inline they were faster in only 4 of 8 homotopy-t1
-        pairs.
-        """
-        return TILE if self.threads == 1 else RAW_BLOCK
-
 
 class CoverEvaluator:
-    """Vectorized Theta sums of some pure covers, one table row per distinct simplex.
+    """Vectorized Theta sums and hit masks of some pure covers, one table row per distinct simplex.
 
-    ``cover_ids`` picks the covers, all 16 by default, each an id that
-    ``covers.cover_fixture`` accepts; ``self.cover_ids`` holds them in id
-    order without repeats.  The 16 covers use 66 simplex blocks but only 21
-    distinct simplices, and an evaluator keeps the ``_compiled_simplex``
+    ``cover_ids`` picks at least one cover, all 16 by default, each an id
+    that ``covers.cover_fixture`` accepts; ``self.cover_ids`` holds them in
+    id order without repeats.  The 16 covers use 66 simplex blocks but only
+    21 distinct simplices, and an evaluator keeps the ``_compiled_simplex``
     records of its own covers' (10 for covers 4, 9 and 15).  Each is
     evaluated once by ``circuits.theta_rows``, on a batch's rows or on one
     point's floats, and each cover adds its simplices left to right, so a
     sample gets the same bits in any batch, as a point, from any evaluator
-    and from ``cover_theta_sum``.
+    and from ``cover_theta_sum``.  ``hit_masks`` is the one float64 check
+    and verdict of a Monte-Carlo block and of a ``certify`` point.
     """
 
     def __init__(self, cover_ids=range(1, 17)):
         wanted = set(map(cover_fixture, cover_ids))  # ValueError unless each id is an integer in 1..16
+        if not wanted:
+            raise ValueError("an evaluator needs at least one cover id")
         self.covers = [cover for cover in all_covers() if cover in wanted]
         self.cover_ids = tuple(cover.id for cover in self.covers)
         rows: dict = {}
         self._cover_rows = [operator.itemgetter(*(rows.setdefault(s, len(rows)) for s in cover.simplices))
                             for cover in self.covers]  # every cover has at least 4 simplices
         self._table = [*map(_compiled_simplex, rows)]  # looked up once, not on every call
+        self._bits = 1 << np.arange(len(self.covers))
 
     def theta_sums(self, log_coeffs: np.ndarray) -> np.ndarray:
         """(covers, k) Theta sums from a (10, k) array of log coefficients; a (10,) column gives (covers,)."""
         thetas = theta_rows(self._table, log_coeffs)
         # left to right: ``sum`` adds Python floats with compensation from Python 3.12 on
         return np.array([functools.reduce(operator.add, rows(thetas)) for rows in self._cover_rows])
+
+    def hit_masks(self, coeffs: np.ndarray, c_m):
+        """(hit masks, Theta sums, -c_m) of case-4 samples: a Monte-Carlo block or a ``certify`` point.
+
+        ``coeffs`` is (10, k) and ``c_m`` (k,), or a point's (10,) column and
+        float.  Bit j of a mask is set iff cover ``cover_ids[j]``'s Theta sum
+        is >= -c_m.  FloatingPointError unless every coefficient and c_m is
+        finite and nonzero, which no sample of a box in ``BOX_RANGE`` fails.
+        """
+        if not all(np.isfinite(values).all() and np.asarray(values).all() for values in (coeffs, c_m)):
+            raise FloatingPointError("a coefficient or c_m is 0 or not finite in float64")
+        theta, neg_cm = self.theta_sums(np.log(coeffs)), -c_m
+        return self._bits @ (theta >= neg_cm), theta, neg_cm
 
 
 def _row_generators(seed: int, block: int) -> list:
@@ -228,31 +229,32 @@ def classified_block(seed: int, block: int, box_size: float, tile: int = RAW_BLO
     return tuple(np.concatenate(parts, axis=-1) for parts in zip(*tiles))
 
 
-def case4_thetas(evaluator: CoverEvaluator, coeffs: np.ndarray, c_m):
-    """(Theta sums, -c_m) of case-4 samples: a Monte-Carlo block or a ``certify`` point.
-
-    ``c_m`` is a (k,) array or a point's float.  FloatingPointError unless
-    every coefficient and c_m is finite and nonzero, which no sample of a box
-    in ``BOX_RANGE`` fails (see SamplePlan).
-    """
-    if not all(np.isfinite(values).all() and np.asarray(values).all() for values in (coeffs, c_m)):
-        raise FloatingPointError("a coefficient or c_m is 0 or not finite in float64")
-    return evaluator.theta_sums(np.log(coeffs)), -c_m
-
-
 def _accepted_blocks(plan: SamplePlan, task):
-    """``task(block)`` for raw blocks 0, 1, 2, ... until the plan's target is reached.
+    """``task(eta, a, b)`` on the case-4 samples of raw blocks 0, 1, 2, ... until the target is reached.
+
+    Each block is drawn by ``classified_block``, ``TILE`` columns at a time
+    inline, so the draw buffer stays in cache, and whole on a pool, where
+    narrow tiles multiply the GIL hand-offs; the width changes no bit.  One
+    width for both lost where it was measured (2-core VM): at n = 10^6 on
+    two threads, 16,384-column tiles took 1.20-1.34 s against 0.94-1.07 s
+    for whole blocks, with twice the context switches (11-13k against
+    5-6k), and inline they were faster in only 4 of 8 homotopy-t1 pairs.
 
     A task returns a raw block's accepted samples as arrays, samples on the
     last axis; one item per raw block, so callers can count raw draws.  Only
     the last is truncated, to exactly ``target_case4_samples`` samples.  One
-    thread runs tasks inline; a pool starts them ahead only while those in
+    thread runs blocks inline; a pool starts them ahead only while those in
     flight, at the acceptance seen so far, fall short of the samples still
     needed.  Until the first returns it starts one per thread, but no more
     than the target needs if every draw were accepted; after that at most
     ``LOOKAHEAD_PER_THREAD`` per thread.  Any not yet started when the
     stream closes are cancelled.
     """
+    tile = TILE if plan.threads == 1 else RAW_BLOCK
+
+    def run(block):
+        return task(*classified_block(plan.seed, block, plan.box_size, tile))
+
     pool = ThreadPoolExecutor(max_workers=plan.threads) if plan.threads > 1 else None
     ahead = deque()
     remaining = plan.target_case4_samples
@@ -260,13 +262,13 @@ def _accepted_blocks(plan: SamplePlan, task):
     try:
         for block in count():
             if pool is None:
-                item = task(block)
+                item = run(block)
             else:
                 accepted = plan.target_case4_samples - remaining
                 while len(ahead) < LOOKAHEAD_PER_THREAD * plan.threads and (
                         len(ahead) * accepted < remaining * block if block
                         else len(ahead) < first_wave):
-                    ahead.append(pool.submit(task, block + len(ahead)))
+                    ahead.append(pool.submit(run, block + len(ahead)))
                 item = ahead.popleft().result()
             if item[0].shape[-1] >= remaining:
                 yield tuple(x[..., :remaining] for x in item)
@@ -339,12 +341,10 @@ def evaluate_covers(plan: SamplePlan, keep_theta=()) -> CoverHitMatrix:
     evaluator = CoverEvaluator(keep_theta or range(1, 17))  # ValueError unless ids in 1..16
     ids = evaluator.cover_ids
     kept_rows = len(ids) if keep_theta else 0
-    bits = 1 << np.arange(len(ids))
 
-    def task(block):
-        eta, a, b = classified_block(plan.seed, block, plan.box_size, plan.tile)
-        theta, neg_cm = case4_thetas(evaluator, *hex_coefficient_arrays(eta, a, b))
-        return bits @ (theta >= neg_cm), theta[:kept_rows], neg_cm
+    def task(eta, a, b):
+        mask, theta, neg_cm = evaluator.hit_masks(*hex_coefficient_arrays(eta, a, b))
+        return mask, theta[:kept_rows], neg_cm
     histogram, n_always, kept = np.zeros(1 << len(ids), dtype=np.int64), 0, [np.empty((kept_rows + 1, 0))]
     for blocks, (mask, theta, neg_cm) in enumerate(_accepted_blocks(plan, task), 1):
         histogram += np.bincount(mask, minlength=histogram.size)
@@ -562,8 +562,7 @@ def simplicial_homotopy(matrix: CoverHitMatrix, a: int, b: int, c: int,
 def case4_eta_points(n: int, seed: int = 0, box_size: float = 1.0):
     """The first n accepted case-4 samples of a stream, as EtaPoint objects."""
     plan = SamplePlan(box_size=box_size, target_case4_samples=n, seed=seed)
-    blocks = _accepted_blocks(
-        plan, lambda block: classified_block(plan.seed, block, plan.box_size, plan.tile))
+    blocks = _accepted_blocks(plan, lambda *block: block)
     return [EtaPoint(*column) for eta, _, _ in blocks for column in eta.T.tolist()]
 
 

@@ -8,15 +8,30 @@ power formula downstream.
 
 from __future__ import annotations
 
+import collections
+import numbers
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
-class LatticePoint(NamedTuple):
-    """An integer exponent vector in the projected (x1, x3) plane."""
+class LatticePoint(collections.namedtuple("LatticePoint", "x z")):
+    """An integer exponent vector (x, z) in the projected (x1, x3) plane, as a named tuple.
 
-    x: int
-    z: int
+    Python's and numpy's integers are kept as ints; any other coordinate, a
+    float such as 2.0 or a bool included, raises ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x, z):
+        for name, value in (("x", x), ("z", z)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"lattice coordinate {name} must be an integer, got {value!r}")
+        return super().__new__(cls, int(x), int(z))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make, and so _replace, would skip the check
+        return cls(*iterable)
 
 
 # Canonical labels of the hexagonal face, in fixture order.  The first ten

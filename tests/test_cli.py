@@ -184,13 +184,10 @@ def test_certify_labels_come_from_the_parsed_fixture(monkeypatch, capsys):
 
 
 def test_one_float64_check_rejects_in_block_tasks_and_certify(monkeypatch, capsys):
-    import hexcover.cli as cli
-
     def rejected(evaluator, coeffs, c_m):
         raise FloatingPointError("planted rejection")
 
-    monkeypatch.setattr(experiment, "case4_thetas", rejected)
-    monkeypatch.setattr(cli, "case4_thetas", rejected)
+    monkeypatch.setattr(CoverEvaluator, "hit_masks", rejected)
     with pytest.raises(FloatingPointError, match="planted"):
         evaluate_covers(SamplePlan(target_case4_samples=100, seed=1))
     code, out, err = run(capsys, "certify", "--eta", "5,1,1,5,2,1,1,1")

@@ -28,7 +28,6 @@ from hexcover.experiment import (
     SamplePlan,
     binomial_sigma,
     case4_eta_points,
-    case4_thetas,
     classified_block,
     compare_vs_baseline,
     containment_analysis,
@@ -122,13 +121,16 @@ def test_case2_helper_reproduces_the_former_case2_stream(case2_etas):
 def test_case4_thetas_rejects_values_outside_float64(bad):
     (_, coeffs, c_m), = sample_case4(SamplePlan(target_case4_samples=100, seed=3))
     evaluator = CoverEvaluator()
-    theta, neg_cm = case4_thetas(evaluator, coeffs, c_m)
+    _, theta, neg_cm = evaluator.hit_masks(coeffs, c_m)
     assert np.array_equal(theta, evaluator.theta_sums(np.log(coeffs))) and np.array_equal(neg_cm, -c_m)
     column = np.arange(100) == 7
     with pytest.raises(FloatingPointError):
-        case4_thetas(evaluator, np.where(column, bad, coeffs), c_m)
+        evaluator.hit_masks(np.where(column, bad, coeffs), c_m)
     with pytest.raises(FloatingPointError):
-        case4_thetas(evaluator, coeffs, np.where(column, bad, c_m))
+        evaluator.hit_masks(coeffs, np.where(column, bad, c_m))
+    for point in ((np.where(column, bad, coeffs)[:, 7], float(c_m[7])), (coeffs[:, 7], bad)):
+        with pytest.raises(FloatingPointError):  # a certify point: its (10,) column and its float
+            evaluator.hit_masks(*point)
 
 
 def test_acceptance_rate_scale_invariant():
@@ -185,21 +187,25 @@ def test_pool_does_not_run_cancelled_lookahead(monkeypatch):
 
 
 def test_lookahead_draws_only_needed_blocks(monkeypatch):
-    calls = []
+    calls, widths = [], set()
     original = experiment.classified_block
 
     def counted(seed, block, box_size, tile):
         calls.append(block)
+        widths.add(tile)
         return original(seed, block, box_size, tile)
 
     monkeypatch.setattr(experiment, "classified_block", counted)
     # the first wave may not start a block per thread when n needs fewer,
-    # e.g. 16 blocks for n = 1, or 8 for the 3 that n = 20,000 needs
-    for threads, n in [(4, 100_000), (16, 1), (4, 1000), (8, 20_000)]:
+    # e.g. 16 blocks for n = 1, or 8 for the 3 that n = 20,000 needs;
+    # inline blocks are drawn TILE columns at a time, a pool's whole
+    for threads, n in [(1, 20_000), (4, 100_000), (16, 1), (4, 1000), (8, 20_000)]:
         calls.clear()
+        widths.clear()
         run = evaluate_covers(SamplePlan(target_case4_samples=n, seed=5, threads=threads))
         assert run.n == n
         assert sorted(calls) == list(range(run.raw_draws // RAW_BLOCK)), (threads, n)
+        assert widths == {TILE if threads == 1 else RAW_BLOCK}, (threads, n)
 
 
 def test_theta_sums_batch_of_one_matches_block():
@@ -210,6 +216,10 @@ def test_theta_sums_batch_of_one_matches_block():
     single = np.concatenate([evaluator.theta_sums(log_coeffs[:, [j]]) for j in range(6000)],
                             axis=1)
     assert np.array_equal(single.view(np.uint64), block.view(np.uint64))
+    # a certify point's verdict is its block column's hit mask
+    masks = evaluator.hit_masks(coeffs, c_m)[0]
+    assert [evaluator.hit_masks(coeffs[:, j], float(c_m[j]))[0] for j in range(6000)] == masks.tolist()
+    assert len(set(masks.tolist())) > 1
     # the scalar definition stays the reference; only log/exp rounding may differ
     for j in range(0, 6000, 60):
         for cover, theta in zip(evaluator.covers, block[:, j]):
@@ -286,7 +296,7 @@ def test_subset_evaluator_rows_match_full_evaluator():
     full, subset = CoverEvaluator(), CoverEvaluator((4, 9, 15))
     assert (len(full._table), len(subset._table), len(CoverEvaluator((4, 9))._table)) == (21, 10, 8)
     assert subset.cover_ids == (4, 9, 15) and CoverEvaluator((15, 4, 9, 4)).cover_ids == (4, 9, 15)
-    for bad in ((0,), (4, 17), (4.0,)):
+    for bad in ((0,), (4, 17), (4.0,), ()):
         with pytest.raises(ValueError):
             CoverEvaluator(bad)
     (_, coeffs, _), = sample_case4(SamplePlan(target_case4_samples=5000, seed=8))

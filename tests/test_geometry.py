@@ -3,9 +3,11 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hexcover.covers import enumerate_pure_covers
 from hexcover.geometry import (
     HEXAGON_POSITIVE,
     M,
@@ -252,3 +254,21 @@ def test_simplex_is_its_vertices():
     assert hash(s) == hash((LatticePoint(0, 1), LatticePoint(4, 1)))
     # ``enumerate --points`` prints this repr for any configuration but the hexagon
     assert repr(s) == "Simplex(vertices=(LatticePoint(x=0, z=1), LatticePoint(x=4, z=1)))"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LatticePoint(2.0, 1), lambda: LatticePoint(x=2, z=0.5), lambda: LatticePoint(True, 0),
+    lambda: LatticePoint._make((0, False)), lambda: M._replace(x=1.5),
+    lambda: Simplex(((0, 0), (4.5, 2))), lambda: barycentric_coordinates(Simplex(((0, 0), (4, 2))), (2.0, 1)),
+    lambda: enumerate_pure_covers([*HEXAGON_POSITIVE, (0.5, 0)], M),
+    lambda: enumerate_pure_covers(HEXAGON_POSITIVE, (2.0, 1.0)),
+], ids=["float", "keyword", "bool", "make", "replace", "simplex", "barycentric", "points", "m"])
+def test_lattice_coordinates_must_be_integers(make):
+    with pytest.raises(ValueError, match="lattice coordinate [xz] must be an integer"):
+        make()
+
+
+def test_numpy_integer_coordinates_become_ints():
+    p = LatticePoint(np.int64(2), z=np.int32(1))
+    assert p == M and hash(p) == hash(M) and type(p.x) is type(p.z) is int
+    assert repr(p) == "LatticePoint(x=2, z=1)"
