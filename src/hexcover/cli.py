@@ -81,8 +81,8 @@ def _read_input(path: str) -> str:
     return text
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """The file's 'key=value' lines; ValueError on a key that is not a plan flag."""
+def _read_config(path: str) -> dict[str, float]:
+    """The file's 'key=value' lines, typed; ValueError naming the key if it is unknown, repeated or bad."""
     conf = {}
     for line in _read_input(path).split("\n"):
         line = line.strip()
@@ -92,23 +92,31 @@ def _read_config(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _PLAN_FIELDS:
             raise ValueError(f"{path}: unknown key {key!r}; keys are {', '.join(_PLAN_FIELDS)}")
-        conf[key] = value.strip()
+        if key in conf:
+            raise ValueError(f"{path}: key {key!r} is set twice")
+        try:
+            conf[key] = _PLAN_FIELDS[key][1](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: key {key!r}: {exc}") from None
     return conf
 
 
 def _plan_from_args(args) -> SamplePlan:
     """The plan from the values actually supplied; SamplePlan holds the defaults.
 
-    A flag beats the --config file, which beats SONC_MONO_SEED.
+    A flag beats the --config file, which beats SONC_MONO_SEED; a value
+    that does not parse names its source.
     """
     env = os.environ.get("SONC_MONO_SEED")
-    supplied = {"seed": int(env)} if env else {}
+    try:
+        supplied = {"seed": int(env)} if env else {}
+    except ValueError as exc:
+        raise ValueError(f"SONC_MONO_SEED: {exc}") from None
     if args.config:
         supplied.update(_read_config(args.config))
     supplied.update({key: value for key in _PLAN_FIELDS
                      if (value := getattr(args, key)) is not None})
-    return SamplePlan(**{name: cast(supplied[key])
-                         for key, (name, cast) in _PLAN_FIELDS.items() if key in supplied})
+    return SamplePlan(**{_PLAN_FIELDS[key][0]: value for key, value in supplied.items()})
 
 
 def _out_paths(args) -> list[str]:
@@ -357,7 +365,7 @@ def cmd_homotopy(args) -> int:
     else:
         curve, columns = simplicial_homotopy(m, *ids, delta=delta), "s,t,ratio"
     rows = ["".join(f"{x:.6g}," for x in g) + f"{r:.5f}" for g, r in zip(curve.grid, curve.ratios)]
-    header = {"covers": args.covers, "delta": f"{delta:g}", "columns": columns}
+    header = {"covers": ",".join(map(str, ids)), "delta": f"{delta:g}", "columns": columns}
     return _report(args, m.n, header, rows, {
         "covers": list(ids), "delta": delta,
         "points": [list(g) + [round(r, 5)] for g, r in zip(curve.grid, curve.ratios)],

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .covers import all_covers, cover_fixture
-from .model import EtaPoint, a_value, b_value, hex_coefficient_arrays, is_case4, michaelis_constant
+from .model import EtaPoint, _reduced, a_value, b_value, hex_coefficient_arrays, is_case4
 from .circuits import _compiled_simplex, theta_rows
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
@@ -183,10 +183,10 @@ def _classified_tile(rngs: list, buffer: np.ndarray, box_size: float):
     """(eta, a, b) of the case-4 samples in the next ``buffer.shape[1]`` columns of a block.
 
     k3, k6, k9 and k12 are drawn into the first four rows of ``buffer``, and
-    only the columns with a > 0 go on: every other kappa row is drawn into
-    the last row and compressed to those columns before it becomes kappa.
-    ``is_case4`` decides on the survivors, so the samples keep raw-column
-    order.
+    only the columns with a > 0 go on.  ``model._reduced`` forms eta's rows:
+    it reads k_on and k_off rows, each drawn into the last row when read and
+    compressed to those columns before it becomes kappa.  ``is_case4``
+    decides on the survivors, so the samples keep raw-column order.
     """
     a_rows, scratch = buffer[:len(A_ROWS)], buffer[-1]
     for row, out in zip(A_ROWS, a_rows):
@@ -194,15 +194,13 @@ def _classified_tile(rngs: list, buffer: np.ndarray, box_size: float):
     a = a_value(*_to_kappa(a_rows, box_size))
     survivors = np.flatnonzero(a > 0)
     a = a.take(survivors)
-    k_cat = a_rows.take(survivors, axis=1)  # k3, k6, k9 and k12 of the survivors
+    k_cat = dict(zip(A_ROWS, a_rows.take(survivors, axis=1)))  # k3, k6, k9 and k12 of the survivors
 
-    def at_survivors(row):
+    def drawn(row):  # any other kappa row at the survivors, drawn as ``_reduced`` reads it, not kept
         rngs[row].random(out=scratch)
         return _to_kappa(scratch.take(survivors), box_size)
 
-    # an enzyme's k_on and k_off are the two kappa rows before its k_cat
-    K = [michaelis_constant(at_survivors(row - 2), at_survivors(row - 1), k) for row, k in zip(A_ROWS, k_cat)]
-    rows = (*K, *k_cat)
+    rows = _reduced(lambda row: k_cat[row] if row in k_cat else drawn(row))
     b = b_value(rows)
     accepted = np.flatnonzero(is_case4(a, b))
     eta = np.empty((8, accepted.size))

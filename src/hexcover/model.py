@@ -61,25 +61,18 @@ class EtaPoint(collections.namedtuple("EtaPoint", "K1 K2 K3 K4 k3 k6 k9 k12")):
         return EtaPoint(self.K4, self.K3, self.K2, self.K1, self.k3, self.k6, self.k9, self.k12)
 
 
-def michaelis_constant(k_on, k_off, k_cat):
-    """K = (k_off + k_cat) / k_on of one enzyme, on floats or rows alike."""
-    return (k_off + k_cat) / k_on
-
-
 def _reduced(k):
-    """Michaelis-Menten reduction of rate constants k[0..11] to (K1..K4, k3, k6, k9, k12).
+    """Michaelis-Menten reduction of rate constants k(0..11) to (K1..K4, k3, k6, k9, k12).
 
-    Enzyme i's (k_on, k_off, k_cat) are k[3i], k[3i+1] and k[3i+2].  Works
-    with floats or numpy rows alike.
+    Enzyme i's K = (k_off + k_cat) / k_on runs only here, on k(3i+1), k(3i+2) and k(3i),
+    floats or numpy rows; k(3i) and k(3i+1) are asked for only while that K is formed.
     """
-    return (michaelis_constant(k[0], k[1], k[2]), michaelis_constant(k[3], k[4], k[5]),
-            michaelis_constant(k[6], k[7], k[8]), michaelis_constant(k[9], k[10], k[11]),
-            k[2], k[5], k[8], k[11])
+    return (*[(k(i + 1) + k(i + 2)) / k(i) for i in range(0, 12, 3)], *map(k, range(2, 12, 3)))
 
 
 def reduce(kappa: KappaVector) -> EtaPoint:
     """Michaelis-Menten reduction of the 12 rate constants to eta."""
-    return EtaPoint(*_reduced(kappa))
+    return EtaPoint(*_reduced(kappa.__getitem__))
 
 
 def a_value(k3, k6, k9, k12):

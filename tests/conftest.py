@@ -36,7 +36,7 @@ def _stacked_block(seed, block, box_size, case):
     """
     kappa = 1.0 - Generator(Philox(key=[np.uint64(seed), np.uint64(block)])).random((12, RAW_BLOCK))
     kappa *= box_size
-    eta = np.stack(_reduced(kappa))
+    eta = np.stack(_reduced(kappa.__getitem__))
     a, b = ab_values(eta)
     mask = is_case4(a, b) if case == "case4" else a < 0
     return eta[:, mask], a[mask], b[mask]

@@ -563,6 +563,49 @@ def test_env_seed_fallback(monkeypatch, capsys):
     assert "# seed: 42" in out
 
 
+@pytest.mark.parametrize("env,conf,source", [
+    pytest.param("abc", None, "SONC_MONO_SEED: ", id="SONC_MONO_SEED=abc"),
+    pytest.param("4.5", None, "SONC_MONO_SEED: ", id="SONC_MONO_SEED=4.5"),
+    pytest.param(None, "n=1e3\n", "conf.txt: key 'n': ", id="config n=1e3"),
+    pytest.param(None, "seed=7\nbox=wide\n", "conf.txt: key 'box': ", id="config box=wide"),
+])
+def test_bad_env_or_config_value_names_its_source(monkeypatch, tmp_path, capsys, env, conf, source):
+    argv = ["table1", "--n", "10"]
+    if env is None:
+        monkeypatch.delenv("SONC_MONO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SONC_MONO_SEED", env)
+    if conf is not None:
+        (tmp_path / "conf.txt").write_text(conf)
+        argv = ["table1", "--config", str(tmp_path / "conf.txt")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "") and len(err.strip().splitlines()) == 1
+    assert source in err, err
+
+
+def test_config_key_set_twice_is_rejected_before_any_work(monkeypatch, tmp_path, capsys):
+    import hexcover.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a key set twice must be rejected before any work")
+
+    monkeypatch.setattr(cli, "evaluate_covers", no_work)
+    conf = tmp_path / "conf.txt"
+    conf.write_text("n=10\nseed=7\n n = 20\n")
+    code, out, err = run(capsys, "table1", "--config", str(conf))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"table1: {conf}: key 'n' is set twice\n"
+
+
+def test_homotopy_header_lists_the_parsed_cover_ids(tmp_path, capsys):
+    code, out, _ = run(capsys, "homotopy", "--covers", " 4, 9", "--delta", "0.5", *N_SMALL)
+    assert code == EXIT_OK and "# covers: 4,9\n" in out
+    prefix = str(tmp_path / "h_")
+    assert main(["homotopy", "--covers", "4 ,9 ", "--delta", "0.5", *N_SMALL, "--out", prefix]) == EXIT_OK
+    assert "# covers: 4,9\n" in (tmp_path / "h_homotopy.csv").read_text()
+    assert json.loads((tmp_path / "h_homotopy.json").read_text())["covers"] == [4, 9]
+
+
 @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--seed", "-1"), ("--box", "nan"),
                                         ("--box", "inf")])
 def test_bad_plan_input_is_usage_error(capsys, flag, value):

@@ -689,7 +689,7 @@ def test_box_range_corners_give_normal_coefficients(box):
     # every kappa component at N*2^-53 or N: the extremes of each K and k
     corners = (np.arange(1 << 12)[None, :] >> np.arange(12)[:, None]) & 1
     kappa = np.where(corners == 1, box, box * 2.0**-53)
-    eta = np.stack(_reduced(kappa))
+    eta = np.stack(_reduced(kappa.__getitem__))
     a, b = ab_values(eta)
     case4 = is_case4(a, b)
     assert case4.sum() > 0

@@ -43,6 +43,15 @@ def test_reduce_k1_ratio():
     assert reduce(KappaVector(tuple(k))).K1 == 1.0
 
 
+def test_reduce_bits_match_michaelis_menten_per_enzyme():
+    """``reduce`` gives K = (k_off + k_cat) / k_on of each enzyme and its k_cat, bit for bit."""
+    kappas = np.exp(np.random.default_rng(2024).uniform(-20.0, 20.0, (1000, 12))).tolist()
+    for k in kappas:
+        expected = ((k[1] + k[2]) / k[0], (k[4] + k[5]) / k[3], (k[7] + k[8]) / k[6], (k[10] + k[11]) / k[9],
+                    k[2], k[5], k[8], k[11])
+        assert tuple(reduce(KappaVector(k))) == expected
+
+
 @given(st.tuples(*([rate] * 12)), st.floats(min_value=0.5, max_value=4.0))
 def test_reduce_scale_compatible(k, c):
     eta = reduce(KappaVector(k))
