@@ -105,18 +105,25 @@ def _plan_from_args(args) -> SamplePlan:
     """The plan from the values actually supplied; SamplePlan holds the defaults.
 
     A flag beats the --config file, which beats SONC_MONO_SEED; a value
-    that does not parse names its source.
+    that does not parse or is out of range names its source.
     """
-    env = os.environ.get("SONC_MONO_SEED")
-    try:
-        supplied = {"seed": int(env)} if env else {}
-    except ValueError as exc:
-        raise ValueError(f"SONC_MONO_SEED: {exc}") from None
+    supplied = {}  # plan key -> (source, value)
+    if env := os.environ.get("SONC_MONO_SEED"):
+        try:
+            supplied["seed"] = ("SONC_MONO_SEED", int(env))
+        except ValueError as exc:
+            raise ValueError(f"SONC_MONO_SEED: {exc}") from None
     if args.config:
-        supplied.update(_read_config(args.config))
-    supplied.update({key: value for key in _PLAN_FIELDS
+        supplied.update({key: (f"{args.config}: key {key!r}", value)
+                         for key, value in _read_config(args.config).items()})
+    supplied.update({key: (f"--{key}", value) for key in _PLAN_FIELDS
                      if (value := getattr(args, key)) is not None})
-    return SamplePlan(**{_PLAN_FIELDS[key][0]: value for key, value in supplied.items()})
+    for key, (source, value) in supplied.items():  # SamplePlan checks each field on its own
+        try:
+            SamplePlan(**{_PLAN_FIELDS[key][0]: value})
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+    return SamplePlan(**{_PLAN_FIELDS[key][0]: value for key, (_, value) in supplied.items()})
 
 
 def _out_paths(args) -> list[str]:
@@ -220,10 +227,11 @@ def _check_certify(args) -> None:
     The coefficients come from the Monte-Carlo kernel on the point's 8
     floats, so a point gets the bits of its hit masks, as its (10,) column.
     a, b, the ten coefficients and c_m must be finite.  In case 4 the column
-    goes through ``CoverEvaluator.hit_masks``, the block task's one check (no
-    coefficient or c_m is 0) and verdict, which gives the point's hit mask
-    over covers 1..16 and each cover's Theta sum once; cover 9's bound
-    reuses its sum, and every bound must be finite.
+    goes through ``CoverEvaluator.hit_masks``, which checks and decides it
+    on its Python floats by the block task's rule (every coefficient and c_m
+    finite and nonzero) and gives the point's int hit mask over covers 1..16
+    and each cover's Theta sum once; cover 9's bound reuses its sum, and
+    every bound must be finite.
     """
     given = [flag for flag in _CERTIFY_COUNTS if getattr(args, flag) is not None]
     if len(given) != 1:
@@ -244,13 +252,12 @@ def _check_certify(args) -> None:
     try:  # a Python float power in a bound raises
         with np.errstate(all="ignore"):  # a Theta sum beyond float64 prints as inf
             mask, thetas, neg_cm = _cover_evaluator().hit_masks(coeffs, c_m)  # covers 1..16
-        thetas = thetas.tolist()
         bounds = [closed_form_bound(cid, eta, thetas[cid - 1]) for cid in CLOSED_FORM_IDS]
     except ArithmeticError as exc:
         raise ValueError(f"a value is beyond float64: {exc}") from None
     if not all(map(math.isfinite, bounds)):
         raise ValueError("a closed-form bound is not finite in float64")
-    args.mask, args.thetas, args.neg_cm, args.bounds = int(mask), thetas, neg_cm, bounds
+    args.mask, args.thetas, args.neg_cm, args.bounds = mask, thetas, neg_cm, bounds
 
 
 def cmd_certify(args) -> int:
@@ -476,55 +483,74 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path prefix for CSV/JSON")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(prog="hexcover",
                                      description="Circuit-cover monostationarity certificates")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("enumerate", help="enumerate pure covers")
+    def command(name, func, check, **kwargs) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, **kwargs)
+        p.set_defaults(command=name, func=func, check=check)  # also when parsed on its own
+        return p
+
+    p = command("enumerate", cmd_enumerate, _check_enumerate, help="enumerate pure covers")
     p.add_argument("--points", default=None, help="custom point file ('x z' lines plus 'm x z')")
     p.add_argument("--check-census", action="store_true")
-    p.set_defaults(func=cmd_enumerate, check=_check_enumerate)
 
-    p = sub.add_parser("certify", help="certify one parameter point")
+    p = command("certify", cmd_certify, _check_certify, help="certify one parameter point")
     p.add_argument("--kappa", default=None, help="12 comma-separated rate constants")
     p.add_argument("--eta", default=None, help="8 comma-separated reduced parameters")
     p.add_argument("--file", default=None, help="file with 12 or 8 positive reals")
-    p.set_defaults(func=cmd_certify, check=_check_certify)
 
-    p = sub.add_parser("table1")
-    _add_plan_flags(p)
-    p.set_defaults(func=cmd_table1, check=None)
+    _add_plan_flags(command("table1", cmd_table1, None))
 
-    p = sub.add_parser("containment")
+    p = command("containment", cmd_containment, _check_containment)
     _add_plan_flags(p)
     p.add_argument("--threshold", type=int, default=0, help="largest |A\\B| count, >= 0, for A in B")
-    p.set_defaults(func=cmd_containment, check=_check_containment)
 
-    p = sub.add_parser("table2")
+    p = command("table2", cmd_table2, _check_table2)
     _add_plan_flags(p)
     p.add_argument("--baseline", type=int, default=9)
-    p.set_defaults(func=cmd_table2, check=_check_table2)
 
-    p = sub.add_parser("homotopy")
+    p = command("homotopy", cmd_homotopy, _check_homotopy)
     _add_plan_flags(p)
     p.add_argument("--covers", required=True, help="2 or 3 comma-separated cover ids")
     p.add_argument("--delta", type=float, default=None,
                    help=f"grid step dividing 1 into at most {MAX_SWEEP_STEPS} steps")
-    p.set_defaults(func=cmd_homotopy, check=_check_homotopy)
 
-    p = sub.add_parser("selftest")
+    p = command("selftest", cmd_selftest, None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selftest, check=None)
-    return parser
+    return parser, commands
 
 
-_parser = functools.cache(build_parser)  # parse_args returns a fresh Namespace per call
+_parsers = functools.cache(build_parsers)  # parse_args returns a fresh Namespace per call
+
+
+def _parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once: by its subcommand's own parser when argv[0] names one.
+
+    The top-level parser would hand argv[1:] to that parser anyway, after a
+    pass of its own; it still handles --help, an empty argv and unknown
+    commands, and reports unrecognized arguments as it would.
+    """
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:  # every input is checked here, before any sampling or output

@@ -5,10 +5,11 @@ only in case 4 (a > 0, b < 0).  ``CoverEvaluator.hit_masks``, which
 ``certify`` also runs, checks each sample in float64 and decides Theta-sum
 >= -c_m for every cover the run evaluates: a hit mask with one bit per
 cover, all 16 for the tables, only the swept 2 or 3 for a homotopy.  A
-point runs the same kernels as a batch of one, so it gets its sample's
-bits.  Ratios, the baseline comparison and the containment poset depend
-only on how often each mask occurs, so a run keeps only the histogram of
-the masks; homotopies keep Theta sums only of samples a sweep can flip.
+point runs the same expressions on its Python floats, so it gets its
+sample's bits.  Ratios, the baseline comparison and the containment poset
+depend only on how often each mask occurs, so a run keeps only the
+histogram of the masks; homotopies keep Theta sums only of samples a sweep
+can flip.
 
 Randomness comes from counter-based Philox streams keyed by (seed, block
 index) over fixed-size raw blocks.  A raw block is the unit of work: one
@@ -106,6 +107,9 @@ class SamplePlan:
             raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {self.threads}")
 
 
+_NOT_FLOAT64 = "a coefficient or c_m is 0 or not finite in float64"
+
+
 class CoverEvaluator:
     """Vectorized Theta sums and hit masks of some pure covers, one table row per distinct simplex.
 
@@ -142,13 +146,21 @@ class CoverEvaluator:
     def hit_masks(self, coeffs: np.ndarray, c_m):
         """(hit masks, Theta sums, -c_m) of case-4 samples: a Monte-Carlo block or a ``certify`` point.
 
-        ``coeffs`` is (10, k) and ``c_m`` (k,), or a point's (10,) column and
-        float.  Bit j of a mask is set iff cover ``cover_ids[j]``'s Theta sum
-        is >= -c_m.  FloatingPointError unless every coefficient and c_m is
-        finite and nonzero, which no sample of a box in ``BOX_RANGE`` fails.
+        ``coeffs`` is (10, k) and ``c_m`` (k,), which give (k,) masks and a
+        (covers, k) array.  A point's (10,) column and float c_m are decided
+        on Python floats, as ``theta_rows`` takes a point's exponents: they
+        give an int mask and a list of floats.  Bit j of a mask is set iff
+        cover ``cover_ids[j]``'s Theta sum is >= -c_m.  FloatingPointError
+        unless every coefficient and c_m is finite and nonzero, which no
+        sample of a box in ``BOX_RANGE`` fails.
         """
+        if coeffs.ndim == 1:
+            if not all(v != 0 and math.isfinite(v) for v in [*coeffs.tolist(), c_m]):
+                raise FloatingPointError(_NOT_FLOAT64)
+            sums, neg_cm = self.theta_sums(np.log(coeffs)).tolist(), -c_m
+            return sum(1 << j for j, s in enumerate(sums) if s >= neg_cm), sums, neg_cm
         if not all(np.isfinite(values).all() and np.asarray(values).all() for values in (coeffs, c_m)):
-            raise FloatingPointError("a coefficient or c_m is 0 or not finite in float64")
+            raise FloatingPointError(_NOT_FLOAT64)
         theta, neg_cm = self.theta_sums(np.log(coeffs)), -c_m
         return self._bits @ (theta >= neg_cm), theta, neg_cm
 

@@ -18,6 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from hexcover import experiment
 from hexcover.cli import EXIT_MULTISTATIONARY, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE, MAX_INPUT_CHARS, main
 from hexcover.experiment import CoverEvaluator, SamplePlan, evaluate_covers
+from hexcover.model import (Case, EtaPoint, KappaVector, _reduced, ab_values, classify, hex_coefficient_arrays,
+                            is_case4, reduce)
 
 from conftest import sample_case4
 
@@ -332,6 +334,94 @@ def test_certify_matches_batch_verdicts(capsys):
         certified = [line.endswith("CERTIFIED") for line in out.splitlines() if line.startswith("CC(")]
         assert certified == hits.tolist()
         assert code == (EXIT_OK if hits.any() else EXIT_UNDETERMINED)
+
+
+_NON_CASE4_CODES = {Case.CASE1_MONOSTATIONARY: EXIT_OK, Case.CASE2_MULTISTATIONARY: EXIT_MULTISTATIONARY,
+                    Case.CASE3_A_ZERO_B_NEG: EXIT_UNDETERMINED}
+
+
+def test_certify_agrees_with_the_batch_kernel(capsys):
+    """200 seeded kappa points in (0, 1]^12, three in case 4 for each one outside it, as perfbench draws them."""
+    rng = np.random.default_rng(26)
+    kappa = 1.0 - rng.random((12, 2048))  # about one column in eight is in case 4
+    eta = np.stack(_reduced(kappa.__getitem__))
+    a, b = ab_values(eta)
+    case4 = is_case4(a, b)
+    picked = np.concatenate([np.flatnonzero(case4)[:150], np.flatnonzero(~case4)[:50]])
+    assert picked.size == 200
+    kappa, eta, a, b, case4 = kappa[:, picked], eta[:, picked], a[picked], b[picked], case4[picked]
+    masks = np.zeros(200, dtype=np.int64)
+    masks[case4] = CoverEvaluator().hit_masks(*hex_coefficient_arrays(eta[:, case4], a[case4], b[case4]))[0]
+    assert len(set(masks[case4].tolist())) > 1 and 0 in masks[case4]
+    for j in rng.permutation(200):
+        values = [float(v) for v in kappa[:, j]]
+        code, out, err = run(capsys, "certify", "--kappa", ",".join(map(repr, values)))
+        tag = classify(reduce(KappaVector(values))).tag
+        assert err == "" and (tag is Case.CASE4_A_POS_B_NEG) == case4[j]
+        if case4[j]:
+            assert code == (EXIT_OK if masks[j] else EXIT_UNDETERMINED)
+        else:
+            batch = EXIT_MULTISTATIONARY if a[j] < 0 else EXIT_OK if b[j] >= 0 else EXIT_UNDETERMINED
+            assert code == _NON_CASE4_CODES[tag] == batch
+        certified = [line.endswith(" CERTIFIED") for line in out.splitlines() if line.startswith("CC(")]
+        assert certified == ([bool(masks[j] >> bit & 1) for bit in range(16)] if case4[j] else [])
+    # a case-4 point whose c_m or a coefficient rounds to 0 is out of float64
+    for text, zero_cm in (("1,1,1,3.000000000000001,1e-62,1e-62,5e-63,1e-62", True),
+                          ("5.57e-65,1.43e-43,3.85e-09,8.21e+64,7.24e+33,2.04e-100,9.7e-05,6.53e-69", False)):
+        point = EtaPoint(*map(float, text.split(",")))
+        sc = classify(point)
+        coeffs, c_m = hex_coefficient_arrays(point, sc.a_value, sc.b_value)
+        assert sc.tag is Case.CASE4_A_POS_B_NEG and (c_m == 0) == zero_cm and coeffs.all() == zero_cm
+        code, out, err = run(capsys, "certify", "--eta", text)
+        assert (code, out) == (EXIT_USAGE, "") and len(err.strip().splitlines()) == 1
+
+
+def test_argv_is_parsed_once(monkeypatch, capsys):
+    import argparse
+
+    parses, parse_known_args = [], argparse.ArgumentParser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        parses.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv, code in ((["certify", "--eta", "5,1,1,5,2,1,1,1"], EXIT_OK), (["enumerate"], EXIT_OK),
+                       (["table1", "--n", "0"], EXIT_USAGE), (["homotopy", "--covers", "4"], EXIT_USAGE),
+                       (["table2", "--bogus"], EXIT_USAGE)):
+        parses.clear()
+        assert run(capsys, *argv)[0] == code, argv
+        assert parses == [f"hexcover {argv[0]}"], argv
+    for argv, code in (([], EXIT_USAGE), (["nope"], EXIT_USAGE), (["-h"], EXIT_OK),
+                       (["certify", "-h"], EXIT_OK)):
+        assert run(capsys, *argv)[0] == code, argv
+
+
+@pytest.mark.parametrize("env,conf,argv,source", [
+    pytest.param("-3", None, ["--n", "10"], "SONC_MONO_SEED: seed must be in", id="SONC_MONO_SEED=-3"),
+    pytest.param(None, "n=0\n", [], "conf.txt: key 'n': target_case4_samples must be", id="config n=0"),
+    pytest.param(None, "box=1e-200\n", ["--n", "10"], "conf.txt: key 'box': box_size must be",
+                 id="config box=1e-200"),
+    pytest.param(None, None, ["--n", "0"], "--n: target_case4_samples must be", id="--n 0"),
+])
+def test_out_of_range_value_names_its_source(monkeypatch, tmp_path, capsys, env, conf, argv, source):
+    import hexcover.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an out-of-range value must be rejected before any work")
+
+    monkeypatch.setattr(cli, "evaluate_covers", no_work)
+    if env is None:
+        monkeypatch.delenv("SONC_MONO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SONC_MONO_SEED", env)
+    if conf is not None:
+        (tmp_path / "conf.txt").write_text(conf)
+        argv = [*argv, "--config", str(tmp_path / "conf.txt")]
+    code, out, err = run(capsys, "table1", *argv)
+    assert (code, out) == (EXIT_USAGE, "") and len(err.strip().splitlines()) == 1
+    prefix = f"table1: {tmp_path / source}" if conf is not None else f"table1: {source}"
+    assert err.startswith(prefix), err
 
 
 def test_table1_shape_and_header(capsys):
