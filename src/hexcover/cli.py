@@ -230,8 +230,8 @@ def _check_certify(args) -> None:
     goes through ``CoverEvaluator.hit_masks``, which checks and decides it
     on its Python floats by the block task's rule (every coefficient and c_m
     finite and nonzero) and gives the point's int hit mask over covers 1..16
-    and each cover's Theta sum once; cover 9's bound reuses its sum, and
-    every bound must be finite.
+    and each cover's Theta sum once.  Each printed bound is its cover's sum
+    over the prefactor, and must be finite: a sum beyond float64 exits 64.
     """
     given = [flag for flag in _CERTIFY_COUNTS if getattr(args, flag) is not None]
     if len(given) != 1:
@@ -249,7 +249,7 @@ def _check_certify(args) -> None:
         raise ValueError("a, b, the coefficients and c_m must be finite in float64")
     if sc.tag is not Case.CASE4_A_POS_B_NEG:
         return
-    try:  # a Python float power in a bound raises
+    try:  # hit_masks' check raises, and so does a prefactor that underflows to 0
         with np.errstate(all="ignore"):  # a Theta sum beyond float64 prints as inf
             mask, thetas, neg_cm = _cover_evaluator().hit_masks(coeffs, c_m)  # covers 1..16
         bounds = [closed_form_bound(cid, eta, thetas[cid - 1]) for cid in CLOSED_FORM_IDS]
@@ -443,18 +443,14 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     )
     checks.append(("cover_10_12_swap_symmetry", swap_ok, "100 random case-4 points"))
 
-    ident_ok = True
-    worst = 0.0
+    errs = []
     for e in etas:
-        coeffs, _ = hex_coefficients(e)
-        pref = negative_prefactor(e)
-        for cid in (4, 10, 12, 15):
-            lhs = closed_form_bound(cid, e) * pref
-            rhs = cover_theta_sum(cover_fixture(cid).simplices, coeffs)
-            err = abs(lhs - rhs) / rhs
-            worst = max(worst, err)
-            ident_ok = ident_ok and err <= 1e-10
-    checks.append(("closed_form_vs_theta_sum", ident_ok, f"max rel err {worst:.2e}"))
+        coeffs, pref = hex_coefficients(e)[0], negative_prefactor(e)
+        for cover in all_covers():
+            theta = cover_theta_sum(cover.simplices, coeffs)
+            errs.append(abs(closed_form_bound(cover.id, e) * pref - theta) / theta)
+    ok = all(err <= 1e-10 for err in errs)
+    checks.append(("closed_form_vs_theta_sum", ok, f"max rel err {max(errs):.2e}"))
     return checks
 
 

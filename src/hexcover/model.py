@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import collections
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .circuits import cover_theta_sum
-from .covers import cover_fixture
+from .circuits import _compiled_simplex, cover_theta_sum  # noqa: F401, perfbench wraps this binding
+from .covers import all_covers, cover_fixture
 from .geometry import HEXAGON_POSITIVE
 
 
@@ -188,53 +191,48 @@ def eval_hex_poly(coeffs, c_m, x1, x3):
     return value
 
 
-CLOSED_FORM_IDS = (4, 9, 10, 12, 15)
+CLOSED_FORM_IDS = (4, 9, 10, 12, 15)  # the covers whose bounds ``certify`` prints
+MONOMIAL_INPUTS = ("K1", "K2", "K3", "K4", "k3", "k6", "k9", "k12", "a")  # x = (eta, a)
+
+
+@functools.cache
+def condition_table() -> dict:
+    """Theta_s / prefactor of each simplex of the 16 covers as one monomial kappa * prod_j x_j**e_j.
+
+    x is ``MONOMIAL_INPUTS``.  A row is (e, kappa**q, q), exact, then kappa and
+    each (j, e_j) with e_j != 0, as floats.  Coefficient i is C_i * x**E_i and c_m
+    is b * x**E_pref, read off the kernel at b = 1: x = 1 gives C_i, and x_j = 2
+    gives C_i * 2**E_ij exactly.  With m's exact lambda_i = p_i/q in the simplex,
+    e = sum lambda_i E_i - E_pref and kappa**q = prod (C_i/lambda_i)**p_i.
+    """
+    n = len(MONOMIAL_INPUTS)
+    x = np.hstack([np.ones((n, 1)), 1.0 + np.eye(n)])  # columns: x = 1, then each x_j = 2
+    probes = np.vstack(hex_coefficient_arrays(x[:-1], x[-1], np.ones(n + 1)))  # coefficients and c_m
+    C = probes[:, 0].tolist()
+    *E, E_pref = np.rint(np.log2(probes[:, 1:] / probes[:, :1])).astype(int).tolist()  # E[i][j]
+    table = {}
+    for simplex in {s for cover in all_covers() for s in cover.simplices}:
+        terms, _, powers, q = _compiled_simplex(simplex)
+        lams = [(i, Fraction(p, q), p) for (i, _), p in zip(terms, powers)]
+        e = tuple(sum(lam * E[i][j] for i, lam, _ in lams) - E_pref[j] for j in range(n))
+        kappa_q = math.prod((Fraction(C[i]) / lam) ** p for i, lam, p in lams)
+        nonzero = tuple((j, float(v)) for j, v in enumerate(e) if v)
+        table[simplex] = e, kappa_q, q, float(kappa_q) ** (1 / q), nonzero
+    return table
 
 
 def closed_form_bound(cover_id: int, eta: EtaPoint, theta_sum: float | None = None) -> float:
-    """Right-hand side of the displayed sufficient condition for one cover.
+    """The bound in the sufficient condition -b(eta) <= bound of cover ``cover_id``, any id in 1..16.
 
-    The certificate holds iff -b(eta) <= closed_form_bound(cover_id, eta); the
-    bound equals the cover's Theta sum divided by the prefactor K1*K2*K3*k3*k6*k12.
-    Cover 9 has no displayed simplification, so its bound is that quotient of
-    ``theta_sum`` when the caller holds the sum (``certify`` does), else of
-    ``cover_theta_sum`` on the ``hex_coefficients`` column; the other covers
-    ignore it.
+    It is the cover's Theta sum over the prefactor K1*K2*K3*k3*k6*k12: ``theta_sum`` over it when
+    the caller holds the sum (``certify`` does), else the sum of the cover's ``condition_table`` rows.
     """
-    K1, K2, K3, K4, k3, k6, k9, k12 = eta
+    simplices = cover_fixture(cover_id).simplices  # ValueError unless the id is in 1..16
     a, b = ab_values(eta)
     if not is_case4(a, b):
         raise ValueError("closed-form bounds require case 4 (a > 0, b < 0)")
-    x = k3 * k6**2 * k9**2 * k12  # shared radicand of the mixed-row segments
-    if cover_id == 15:
-        return (
-            4 * math.sqrt(K1 * K4 * k6 * k9 * a)
-            + 2 * math.sqrt(K2 * K3 * k3 * k12 * a)
-            + 3 * (K1 * K2 * K3 * K4 * x) ** (1 / 3)
-            * ((K2 * K4) ** (1 / 3) / K2 + (K1 * K3) ** (1 / 3) / K3)
-        )
-    if cover_id == 4:
-        return (
-            4 * (K1 * K2 * K3 * K4 * k3 * k6 * k9 * k12) ** 0.25 * math.sqrt(2 * a)
-            + 3 * (K1 * K2 * K3 * K4 * x) ** (1 / 3)
-            * ((K2 * K4) ** (1 / 3) / K2 + (K1 * K3) ** (1 / 3) / K3)
-        )
-    if cover_id == 10:
-        return (
-            4 / K2 * (K1**2 * K2**3 * K3 * K4**2 * x * a) ** 0.25
-            + 3 * (K1 * K4**2 * k6**2 * k9**2 * a) ** (1 / 3)
-            + 2 * math.sqrt(K2 * K3 * k3 * k12 * a)
-            + 3 / K3 * (K1**2 * K2 * K3**2 * K4 * x) ** (1 / 3)
-        )
-    if cover_id == 12:
-        return (
-            4 / K3 * (K1**2 * K2 * K3**3 * K4**2 * x * a) ** 0.25
-            + 3 * (K1**2 * K4 * k6**2 * k9**2 * a) ** (1 / 3)
-            + 2 * math.sqrt(K2 * K3 * k3 * k12 * a)
-            + 3 / K2 * (K1 * K2**2 * K3 * K4**2 * x) ** (1 / 3)
-        )
-    if cover_id == 9:
-        if theta_sum is None:
-            theta_sum = cover_theta_sum(cover_fixture(9).simplices, hex_coefficients(eta)[0])
+    if theta_sum is not None:
         return theta_sum / negative_prefactor(eta)
-    raise ValueError(f"no closed-form bound for cover {cover_id}; supported: {CLOSED_FORM_IDS}")
+    x, rows = (*eta, a), map(condition_table().__getitem__, simplices)
+    return functools.reduce(operator.add, (kappa * math.prod(x[j] ** e for j, e in powers)
+                                           for *_, kappa, powers in rows))

@@ -212,14 +212,14 @@ def test_certify_from_file(tmp_path, capsys):
                 min_size=8, max_size=8))
 @example([1, 1, 1, 1, 1e200, 1e200, 1e200, 1e200])  # a and b are NaN
 @example([5e300, 1, 1, 5e300, 2, 1, 1, 1])  # K1 cubed overflows float64
-@example([3.3e46, 3.5e3, 2.8e-46, 2.2e199, 3.1e-113, 4e-36, 2.5e7, 3.3e144])  # only a bound overflows
+@example([3.3e46, 3.5e3, 2.8e-46, 2.2e199, 3.1e-113, 4e-36, 2.5e7, 3.3e144])  # a displayed radical overflows
 @example([8.71e-263, 2.94e-285, 3.93e-101, 7.13e294, 1.71e136, 4.35e-44, 4.27e-181, 8.5e-228])  # a1 -> 0
 @example([9.978739463419164, 5.037304511619533e+42, 3.565423990054037e+31, 2.6208598931223373e+136,
           7.55359607420531e-33, 3.531386736407933e-33, 5.8525084083385215e+68,
-          1.3607526759315857e+91])  # a product in bound 4 overflows to inf; no cover certifies
+          1.3607526759315857e+91])  # a product in displayed bound 4 overflows; no cover certifies
 @example([1.1299563566652741e+47, 8.36404227860795e-145, 140.95454771909428, 6.888563398818462e+133,
           1.3623151349567593e+57, 3.7767520808652375e-30, 4.704038721952299e+56,
-          3.1490227253111694e+31])  # bounds 10 and 12 overflow to inf; covers certify
+          3.1490227253111694e+31])  # displayed bounds 10 and 12 overflow; covers certify
 @settings(max_examples=300, deadline=None)
 def test_certify_eta_always_ends_in_an_exit_code(eta):
     out, err = io.StringIO(), io.StringIO()
@@ -233,6 +233,18 @@ def test_certify_eta_always_ends_in_an_exit_code(eta):
         # a Theta sum beyond float64 prints as inf, but a printed bound is always finite
         bounds = [float(line.split()[2]) for line in out.getvalue().splitlines() if line.startswith("bound ")]
         assert all(map(math.isfinite, bounds)), out.getvalue()
+
+
+def test_certify_exits_64_when_a_printed_theta_sum_overflows(capsys):
+    """Each printed bound is its cover's Theta sum over the prefactor, so a sum beyond float64 exits 64."""
+    eta = EtaPoint(1.855173658092304, 0.8346707277729604, 3.452274132934693, 7.287029732526532,
+                   1.620003689567073e+61, 1.0104272762748095e+61, 3.06677343010082e+61, 2.127612392285864e+61)
+    a, b = ab_values(eta)
+    with np.errstate(over="ignore"):
+        _, thetas, _ = CoverEvaluator().hit_masks(*hex_coefficient_arrays(eta, a, b))
+    assert math.isinf(thetas[15 - 1]) and math.isfinite(thetas[9 - 1])  # all ten coefficients are finite
+    code, out, err = run(capsys, "certify", "--eta", ",".join(map(repr, eta)))
+    assert (code, out, err) == (EXIT_USAGE, "", "certify: a closed-form bound is not finite in float64\n")
 
 
 _FLOAT_LISTS = st.lists(st.floats(min_value=1e-300, max_value=1e300)

@@ -242,6 +242,25 @@ def test_histogram_statistics_match_per_sample_bits(small_run, small_masks):
                                              int((~mine & ~base).sum()))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mirror_covers_have_equal_hit_ratios(seed):
+    """A paired check of the sampler, with no reference run.
+
+    The enzyme swap tau (kappa rows 0-2 <-> 9-11 and 3-5 <-> 6-8; on eta
+    K1 <-> K4, K2 <-> K3, k3 <-> k12, k6 <-> k9) permutes the box's
+    coordinates and keeps a and b, so it keeps the case-4 sampling law, and
+    it maps cover 10's condition to cover 12's and cover 2's to cover 11's
+    (``test_twin_and_mirror_covers_are_identities_of_the_table``).  So each
+    pair has equal expected hit ratios, and the McNemar z of its discordant
+    counts, (|A\\B| - |B\\A|) / sqrt(|A\\B| + |B\\A|), is about standard normal.
+    """
+    run = evaluate_covers(SamplePlan(target_case4_samples=200_000, seed=seed, threads=1))
+    diff = containment_analysis(run).matrix  # diff[A - 1, B - 1] = |A\B|
+    for a, b in ((10, 12), (2, 11)):
+        ab, ba = int(diff[a - 1, b - 1]), int(diff[b - 1, a - 1])
+        assert abs(ab - ba) <= 4 * math.sqrt(ab + ba), (seed, a, b, ab, ba)
+
+
 def test_baseline_id_must_be_an_integer(small_run):
     """9.0 == 9 passes a membership test but cannot index the hit bits; numpy's integers can.
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from hexcover.model import (
     Case,
     EtaPoint,
     KappaVector,
+    MONOMIAL_INPUTS,
     ab_values,
     classify,
     closed_form_bound,
+    condition_table,
     eval_hex_poly,
     hex_coefficients,
     negative_prefactor,
@@ -275,15 +278,42 @@ def test_eval_p_eta_rejects_nonpositive_x():
 # ---------------------------------------------------------- closed forms
 
 
+def paper_bound(cover_id, eta):
+    """The paper's displayed conditions for covers 4, 10, 12 and 15, typed by hand: the table's oracle."""
+    K1, K2, K3, K4, k3, k6, k9, k12 = eta
+    a, _ = ab_values(eta)
+    x = k3 * k6**2 * k9**2 * k12  # shared radicand of the mixed-row segments
+    mixed = 3 * (K1 * K2 * K3 * K4 * x) ** (1 / 3) * ((K2 * K4) ** (1 / 3) / K2 + (K1 * K3) ** (1 / 3) / K3)
+    return {
+        15: (4 * math.sqrt(K1 * K4 * k6 * k9 * a) + 2 * math.sqrt(K2 * K3 * k3 * k12 * a) + mixed),
+        4: 4 * (K1 * K2 * K3 * K4 * k3 * k6 * k9 * k12) ** 0.25 * math.sqrt(2 * a) + mixed,
+        10: (4 / K2 * (K1**2 * K2**3 * K3 * K4**2 * x * a) ** 0.25
+             + 3 * (K1 * K4**2 * k6**2 * k9**2 * a) ** (1 / 3)
+             + 2 * math.sqrt(K2 * K3 * k3 * k12 * a)
+             + 3 / K3 * (K1**2 * K2 * K3**2 * K4 * x) ** (1 / 3)),
+        12: (4 / K3 * (K1**2 * K2 * K3**3 * K4**2 * x * a) ** 0.25
+             + 3 * (K1**2 * K4 * k6**2 * k9**2 * a) ** (1 / 3)
+             + 2 * math.sqrt(K2 * K3 * k3 * k12 * a)
+             + 3 / K2 * (K1 * K2**2 * K3 * K4**2 * x) ** (1 / 3)),
+    }[cover_id]
+
+
 def test_closed_form_matches_theta_sum():
     for box in (0.1, 1.0, 10.0, 100.0):
         for eta in case4_eta_points(25, seed=13, box_size=box):
             coeffs, _ = hex_coefficients(eta)
             pref = negative_prefactor(eta)
-            for cid in (4, 10, 12, 15):
+            for cid in range(1, 17):
                 lhs = closed_form_bound(cid, eta) * pref
                 rhs = cover_theta_sum(cover_fixture(cid).simplices, coeffs)
                 assert math.isclose(lhs, rhs, rel_tol=1e-10), (cid, box)
+
+
+def test_table_matches_the_displayed_conditions():
+    for box in (0.1, 1.0, 10.0, 100.0):
+        for eta in case4_eta_points(25, seed=13, box_size=box):
+            for cid in (4, 10, 12, 15):
+                assert math.isclose(closed_form_bound(cid, eta), paper_bound(cid, eta), rel_tol=1e-12), (cid, box)
 
 
 def test_closed_form_swap_identity():
@@ -302,10 +332,72 @@ def test_closed_form_9_is_generic_path():
 
 
 def test_closed_form_rejects_bad_input():
-    with pytest.raises(ValueError):
-        closed_form_bound(7, case4_eta_points(1, seed=19)[0])
+    eta = case4_eta_points(1, seed=19)[0]
+    for bad in (0, 17, 9.0, True):
+        with pytest.raises(ValueError):
+            closed_form_bound(bad, eta)
     with pytest.raises(ValueError):
         closed_form_bound(15, reduce(KappaVector((1.0,) * 12)))
+
+
+TAU = (3, 2, 1, 0, 7, 6, 5, 4, 8)  # the enzyme swap on x = (eta, a): K1<->K4, K2<->K3, k3<->k12, k6<->k9
+
+
+def _condition(cover_id, permutation=range(9)):
+    """A cover's condition as its sorted exact rows (exponents, kappa**60), at x permuted by ``permutation``."""
+    rows = map(condition_table().__getitem__, cover_fixture(cover_id).simplices)
+    return sorted((tuple(e[j] for j in permutation), kappa_q ** (60 // q)) for e, kappa_q, q, *_ in rows)
+
+
+def test_twin_and_mirror_covers_are_identities_of_the_table():
+    """Covers 1 = 14, 2 = 5, 6 = 7 and 11 = 13 are one multiset of rows each, exactly.
+
+    No other two covers are, and the enzyme swap tau maps 10 to 12 and {2, 5} to {11, 13}, and
+    every other class to itself.  Each kappa**q is a Fraction, so kappa**60 compares kappas exactly.
+    """
+    table = condition_table()
+    assert len(table) == 21 and len(set(table.values())) == 15
+    classes = {}
+    for cid in range(1, 17):
+        classes.setdefault(tuple(_condition(cid)), []).append(cid)
+    assert sorted(classes.values()) == [[1, 14], [2, 5], [3], [4], [6, 7], [8], [9], [10], [11, 13],
+                                        [12], [15], [16]]
+    mirror = {tuple(ids): classes[tuple(_condition(ids[0], TAU))] for ids in classes.values()}
+    assert mirror == {**{tuple(ids): ids for ids in classes.values()},
+                      (10,): [12], (12,): [10], (2, 5): [11, 13], (11, 13): [2, 5]}
+
+
+def _power(name, k):
+    return name if k == 1 else f"{name}^{k}"
+
+
+def _term(row, count):
+    """count * kappa * x**e as README prints it: kappa an integer or a q-th root, x**e under one root."""
+    exponents, kappa_q, q, kappa, _ = row
+    if round(kappa) ** q == kappa_q:
+        coefficient = str(count * round(kappa))
+    else:
+        base = str(kappa_q) if kappa_q.denominator == 1 else f"({kappa_q})"
+        coefficient = ("" if count == 1 else f"{count}*") + f"{base}^(1/{q})"
+    d = math.lcm(*(e.denominator for e in exponents))
+    num, den = ("*".join(_power(x, abs(e) * d) for x, e in zip(MONOMIAL_INPUTS, exponents) if sign * e > 0)
+                for sign in (1, -1))
+    body = num + (f"/{den}" if den else "")
+    return f"{coefficient}*" + (f"({body})^(1/{d})" if d > 1 else body)
+
+
+def condition_line(cover_id):
+    """A cover's condition, -b <= its monomials in fixture order, with equal monomials merged."""
+    table, counts = condition_table(), {}
+    for simplex in cover_fixture(cover_id).simplices:
+        counts[table[simplex]] = counts.get(table[simplex], 0) + 1
+    return f"CC({cover_id}): -b <= " + " + ".join(_term(m, n) for m, n in counts.items())
+
+
+def test_readme_lists_the_table_conditions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = [line for line in readme.splitlines() if line.startswith("CC(") and " -b <= " in line]
+    assert listed == [condition_line(cid) for cid in range(1, 17)]
 
 
 def test_certificate_scale_invariance():
@@ -330,27 +422,29 @@ def test_scalar_c_m_matches_batch_bits():
 
     The ten coefficients and c_m, every cover's Theta sum (from
     ``cover_theta_sum`` and from ``CoverEvaluator`` on the point's (10,)
-    column) and the cover-9 bound of 20,000 case-4 samples equal the
-    Monte-Carlo kernels' values.
+    column) and the cover-9 bound of its sum of 20,000 case-4 samples equal
+    the Monte-Carlo kernels' values; the table's cover-9 bound agrees within 1e-12.
     """
     plan = SamplePlan(target_case4_samples=20_000, seed=11)
     eta, coeffs, c_m = (np.concatenate(parts, axis=-1) for parts in zip(*sample_case4(plan)))
     evaluator = CoverEvaluator()
     thetas = evaluator.theta_sums(np.log(coeffs))
-    scalar_coeffs, scalar_c_m, scalar_thetas, bound9, prefactor = [], [], [], [], []
+    scalar_coeffs, scalar_c_m, scalar_thetas, bound9, table9, prefactor = [], [], [], [], [], []
     for column in eta.T.tolist():
         point = EtaPoint(*column)
         column, point_c_m = hex_coefficients(point)
         scalar_coeffs.append(column)
         scalar_c_m.append(point_c_m)
         scalar_thetas.append([cover_theta_sum(cover.simplices, column) for cover in evaluator.covers])
-        bound9.append(closed_form_bound(9, point))
+        bound9.append(closed_form_bound(9, point, scalar_thetas[-1][evaluator.cover_ids.index(9)]))
+        table9.append(closed_form_bound(9, point))
         prefactor.append(negative_prefactor(point))
     assert np.array_equal(np.array(scalar_coeffs).T, coeffs)
     assert np.array_equal(np.array(scalar_c_m), c_m)
     assert np.array_equal(np.array(scalar_thetas).T, thetas)
     row9 = thetas[evaluator.cover_ids.index(9)]
     assert np.array_equal(np.array(bound9), row9 / np.array(prefactor))
+    assert np.allclose(table9, bound9, rtol=1e-12, atol=0)
     column_thetas = np.array([evaluator.theta_sums(np.log(coeffs[:, j])) for j in range(coeffs.shape[1])])
     assert np.array_equal(column_thetas.T.view(np.uint64), thetas.view(np.uint64))
 
