@@ -39,7 +39,7 @@ from .model import EtaPoint, _reduced, a_value, b_value, hex_coefficient_arrays,
 from .circuits import _compiled_simplex, theta_rows
 
 RAW_BLOCK = 1 << 16  # raw draws per counter block; fixed, independent of threading
-TILE = 1 << 12  # columns per tile of an inline block: its (5, TILE) float64 draw buffer is 160 KB
+TILE = 1 << 14  # columns per tile of an inline block: its (5, TILE) float64 draw buffer is 640 KB
 LOOKAHEAD_PER_THREAD = 8  # most blocks queued ahead per worker thread
 MAX_THREADS = 64  # most worker threads a plan may ask for
 MAX_SWEEP_STEPS = 1000  # most grid steps per side of a homotopy sweep
@@ -195,10 +195,13 @@ def _classified_tile(rngs: list, buffer: np.ndarray, box_size: float):
     """(eta, a, b) of the case-4 samples in the next ``buffer.shape[1]`` columns of a block.
 
     k3, k6, k9 and k12 are drawn into the first four rows of ``buffer``, and
-    only the columns with a > 0 go on.  ``model._reduced`` forms eta's rows:
-    it reads k_on and k_off rows, each drawn into the last row when read and
-    compressed to those columns before it becomes kappa.  ``is_case4``
-    decides on the survivors, so the samples keep raw-column order.
+    only the columns with a > 0 go on; once their k's are copied out, those
+    rows are spent.  ``model._reduced`` forms eta's rows: each k_on and k_off
+    row it reads is drawn into the last row and compressed to those columns
+    into the first, where it becomes kappa.  ``_reduced`` holds such a row
+    only while it forms that K, so one slot serves all eight, and no tile
+    allocates a row for them.  ``is_case4`` decides on the survivors, so the
+    samples keep raw-column order.
     """
     a_rows, scratch = buffer[:len(A_ROWS)], buffer[-1]
     for row, out in zip(A_ROWS, a_rows):
@@ -207,10 +210,12 @@ def _classified_tile(rngs: list, buffer: np.ndarray, box_size: float):
     survivors = np.flatnonzero(a > 0)
     a = a.take(survivors)
     k_cat = dict(zip(A_ROWS, a_rows.take(survivors, axis=1)))  # k3, k6, k9 and k12 of the survivors
+    slot = buffer[0, :survivors.size]
 
     def drawn(row):  # any other kappa row at the survivors, drawn as ``_reduced`` reads it, not kept
         rngs[row].random(out=scratch)
-        return _to_kappa(scratch.take(survivors), box_size)
+        # mode="clip" changes nothing for in-range indices, and unlike "raise" it takes into ``out`` unbuffered
+        return _to_kappa(scratch.take(survivors, out=slot, mode="clip"), box_size)
 
     rows = _reduced(lambda row: k_cat[row] if row in k_cat else drawn(row))
     b = b_value(rows)
@@ -228,10 +233,13 @@ def classified_block(seed: int, block: int, box_size: float, tile: int = RAW_BLO
     draws of one Philox stream keyed by (seed, block), and since Philox is
     counter-based each row has its own generator (``_row_generators``).  The
     block is filtered ``tile`` columns at a time (``_classified_tile``), a
-    divisor of ``RAW_BLOCK``, in the thread's one reused (5, tile) draw
-    buffer, so no block re-faults its pages; the tiles' samples are joined in
-    column order, and no returned array aliases the buffer.
+    divisor of ``RAW_BLOCK`` (ValueError otherwise), in the thread's one
+    reused (5, tile) draw buffer, so no block faults in fresh draw rows; the
+    tiles' samples are joined in column order, and no returned array aliases
+    the buffer.
     """
+    if tile < 1 or RAW_BLOCK % tile:
+        raise ValueError(f"tile must divide RAW_BLOCK = {RAW_BLOCK}, got {tile}")
     if (buffer := getattr(_draws, "buffer", None)) is None or buffer.shape[1] != tile:
         buffer = _draws.buffer = np.empty((len(A_ROWS) + 1, tile))
     rngs = _row_generators(seed, block)
@@ -242,13 +250,14 @@ def classified_block(seed: int, block: int, box_size: float, tile: int = RAW_BLO
 def _accepted_blocks(plan: SamplePlan, task):
     """``task(eta, a, b)`` on the case-4 samples of raw blocks 0, 1, 2, ... until the target is reached.
 
-    Each block is drawn by ``classified_block``, ``TILE`` columns at a time
-    inline, so the draw buffer stays in cache, and whole on a pool, where
-    narrow tiles multiply the GIL hand-offs; the width changes no bit.  One
-    width for both lost where it was measured (2-core VM): at n = 10^6 on
-    two threads, 16,384-column tiles took 1.20-1.34 s against 0.94-1.07 s
-    for whole blocks, with twice the context switches (11-13k against
-    5-6k), and inline they were faster in only 4 of 8 homotopy-t1 pairs.
+    Each block is drawn by ``classified_block``: ``TILE`` columns at a time
+    inline, so the draw buffer stays in cache, and whole on a pool; the width
+    changes no bit.  Pool tiles lost where they were measured (2-core VM, n =
+    10^6, two threads): 16,384-column tiles took a median 0.76 s against
+    0.68 s for whole blocks (+12%, 6 pairs), and 32,768-column tiles 0.75 s
+    against 0.62 s (+20%, 10 pairs).  With 32,768-column tiles a run took
+    37-71k minor faults instead of at most 12k, and 7.5-8.6k voluntary
+    context switches instead of 4-6k.
 
     A task returns a raw block's accepted samples as arrays, samples on the
     last axis; one item per raw block, so callers can count raw draws.  Only

@@ -94,9 +94,11 @@ def test_draws_strictly_positive_and_in_box():
             assert (eta[row] > 0).all() and (eta[row] <= box).all()
 
 
-# the sampler keeps no other case; whole blocks are the pool's tiles, TILE the inline width.
+# the sampler keeps no other case; whole blocks are the pool's tiles, TILE the inline width,
+# and 4,096 the inline width it retired: every width pins the same bits.
 # Seed 2^64 - 1 and block 2^40 put high bits in both words of the re-keyed Philox key.
-@pytest.mark.parametrize("case, tile", [("case4", RAW_BLOCK), ("case4", TILE)], ids=["case4", "case4-tile"])
+@pytest.mark.parametrize("case, tile", [("case4", RAW_BLOCK), ("case4", TILE), ("case4", 4096)],
+                         ids=["case4", "case4-tile", "case4-4096"])
 @pytest.mark.parametrize("box", [1.0, 3.7, 2.0**-99, 2.0**150])
 def test_classified_block_matches_stacked_reference(stacked_block, case, tile, box):
     for seed, block in [(7, 0), (7, 1), (7, 2), (7, 3), (2**64 - 1, 2**40), (2**64 - 1, 0)]:
@@ -403,7 +405,8 @@ def _traced_peak(threads):
 
 
 def test_serial_run_peak_stays_within_a_few_tiles():
-    # about 3.4 MB with TILE-wide draws; a full-width (12, RAW_BLOCK) buffer alone is 6.3 MB
+    # about 3.9 MB with TILE-wide draws (3.4 MB at the former 4,096 columns); a full-width
+    # (12, RAW_BLOCK) buffer alone is 6.3 MB
     assert _traced_peak(threads=1) < 5_000_000
 
 
@@ -459,17 +462,25 @@ def test_serial_run_reuses_its_pages():
 
 
 def test_classified_blocks_of_one_thread_share_no_memory():
-    for tile in (RAW_BLOCK, TILE):
+    for tile in (RAW_BLOCK, TILE, 4096):
         first = classified_block(0, 0, 1.0, tile)
         rngs = experiment._draws.rngs
         second = classified_block(0, 1, 1.0, tile)
         buffer = experiment._draws.buffer
-        # four rows decide a > 0, one scratch row draws the other eight; the generators are re-keyed
+        # four rows decide a > 0, then the last draws the other eight and the first holds
+        # each at the survivors; the generators are re-keyed
         assert buffer.shape == (5, tile) and experiment._draws.rngs is rngs and len(rngs) == 12
         for x in first:
             assert not np.shares_memory(x, buffer)
             for y in second:
                 assert not np.shares_memory(x, y)
+
+
+def test_classified_block_rejects_a_tile_that_does_not_divide_the_block():
+    # 24,576 columns would filter two tiles, 49,152 of the 65,536 columns, and drop the rest
+    for tile in (24_576, 3, 2 * RAW_BLOCK, 0, -TILE):
+        with pytest.raises(ValueError, match="tile must divide"):
+            classified_block(42, 0, 1.0, tile)
 
 
 def test_block_task_runs_on_workers(monkeypatch):
